@@ -68,6 +68,8 @@ class ASanRuntime(ProbeRuntime):
     sanitization, where a finding is logged rather than fatal.
     """
 
+    kinds = frozenset({"asan"})
+
     def __init__(self, trap: bool = True):
         self.trap = trap
         self.hit_counts: Dict[int, int] = {}
@@ -75,7 +77,7 @@ class ASanRuntime(ProbeRuntime):
         self.violations: List[int] = []
 
     def on_probe(self, kind: str, probe_id: int, args: Tuple[int, ...], vm: VM) -> None:
-        if kind != "asan" or len(args) < 2:
+        if len(args) < 2:
             return
         self.hit_counts[probe_id] = self.hit_counts.get(probe_id, 0) + 1
         addr, size = args[0], args[1]

@@ -70,11 +70,13 @@ class CmpProbe(InstructionProbe):
 class CmpLogRuntime(ProbeRuntime):
     """Collects (probe id -> operand pairs) during execution."""
 
+    kinds = frozenset({"cmplog"})
+
     def __init__(self):
         self.pairs: Dict[int, List[Tuple[int, int]]] = {}
 
     def on_probe(self, kind: str, probe_id: int, args: Tuple[int, ...], vm: VM) -> None:
-        if kind != "cmplog" or len(args) < 2:
+        if len(args) < 2:
             return
         bucket = self.pairs.setdefault(probe_id, [])
         if len(bucket) < MAX_PAIRS_PER_PROBE:

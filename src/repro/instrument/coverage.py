@@ -66,12 +66,13 @@ class CovProbe(BlockProbe):
 class CoverageRuntime(ProbeRuntime):
     """VM-side counter table: probe id -> hit count."""
 
+    kinds = frozenset({"cov"})
+
     def __init__(self):
         self.counters: Dict[int, int] = {}
 
     def on_probe(self, kind: str, probe_id: int, args: Tuple[int, ...], vm: VM) -> None:
-        if kind == "cov":
-            self.counters[probe_id] = self.counters.get(probe_id, 0) + 1
+        self.counters[probe_id] = self.counters.get(probe_id, 0) + 1
 
     def covered_ids(self) -> List[int]:
         return [pid for pid, hits in self.counters.items() if hits > 0]

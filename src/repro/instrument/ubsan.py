@@ -78,13 +78,15 @@ class UBSanRuntime(ProbeRuntime):
     paper's "high false-positive rate" must not kill production traffic.
     """
 
+    kinds = frozenset({"ubsan"})
+
     def __init__(self, trap: bool = True):
         self.trap = trap
         self.fired: Optional[int] = None
         self.fire_counts: Dict[int, int] = {}
 
     def on_probe(self, kind: str, probe_id: int, args: Tuple[int, ...], vm: VM) -> None:
-        if kind != "ubsan" or not args:
+        if not args:
             return
         if args[0]:
             self.fired = probe_id

@@ -1,8 +1,10 @@
-"""Integer semantics shared by constant folding and the virtual machine.
+"""Integer semantics: the reference for constant folding and the VM.
 
-Defining the arithmetic in exactly one place guarantees the optimizer and
-the interpreter agree — the property our differential tests (O0 output vs
-O2 output on random inputs) rely on.
+The constant folders call these functions.  The virtual machine runs
+specialised restatements of them (:mod:`repro.vm.decode`), which the VM
+property tests compare with this module for every opcode, operand form
+and width, so the optimizer and the interpreter agree -- the property
+our differential tests (O0 output vs O2 output on random inputs) rely on.
 
 Values are carried in their *unsigned* representation within the type's
 width.  Semantics notes:

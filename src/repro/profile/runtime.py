@@ -82,6 +82,8 @@ class _Frame:
 class ProfilingRuntime(ProbeRuntime):
     """Receives prof_enter/prof_exit events; aggregates the profile."""
 
+    kinds = frozenset({"prof_enter", "prof_exit"})
+
     def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = metrics
         # Probe id -> (symbol, "enter"|"exit"), registered by the tool.

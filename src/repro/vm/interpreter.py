@@ -8,7 +8,8 @@ cycle count.
 Instrumentation hooks:
 
 * ``probe`` instructions dispatch to a :class:`ProbeRuntime` (compiler-
-  based instrumentation: OdinCov, SanitizerCoverage analogue, CmpLog...)
+  based instrumentation: OdinCov, SanitizerCoverage analogue, CmpLog...);
+  a probe event reaches only the runtimes whose ``kinds`` include its kind
 * ``bb`` markers optionally invoke a ``block_hook`` and charge
   ``block_tax`` extra cycles — that is how the DynamoRIO/DynInst-style
   *binary* instrumentation baselines are modelled: they pay per-block
@@ -19,42 +20,67 @@ Instrumentation hooks:
   which co-resident sanitization family of the callee executes, charging
   ``dispatch_tax`` extra cycles per dispatched call — the PartiSan-style
   indirection cost.
+
+Execution is closure-threaded (:mod:`repro.vm.decode`): each function is
+decoded at its first call into segments of specialised closures, cached
+for the life of the VM.  ``steps`` and ``cycles`` are kept in locals of
+:meth:`VM._call` and written back to the VM before every call-out (call,
+builtin, probe callback, block hook) and on every exit, traps included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import VMError, VMTrap
-from repro.ir.semantics import eval_binary, eval_cast, eval_icmp
-from repro.ir.types import IntType
-from repro.linker.linker import Executable, LinkedFunction
+from repro.linker.linker import Executable
+from repro.vm.decode import (
+    BRANCH, BUILTIN, CALL, GOTO, HOOK, ICALL, PROBE, RET, SWITCH,
+    DecodedFunction, Decoder, Fault,
+)
 from repro.vm.runtime import BuiltinRuntime, ExitProgram
 
 MEM_SIZE = 1 << 22  # 4 MiB: data + heap + stack
 DEFAULT_MAX_STEPS = 50_000_000
 
-_INT_BY_BITS = {1: IntType(1), 8: IntType(8), 16: IntType(16),
-                32: IntType(32), 64: IntType(64)}
-
 
 class ProbeRuntime:
-    """Receives probe events; instrumentation schemes subclass this."""
+    """Receives probe events; instrumentation schemes subclass this.
+
+    ``kinds`` names the probe kinds the runtime consumes; the VM calls
+    :meth:`on_probe` only for those.  None (the default) means all kinds.
+    """
+
+    kinds: Optional[FrozenSet[str]] = None
 
     def on_probe(self, kind: str, probe_id: int, args: Tuple[int, ...], vm: "VM") -> None:
         """Handle one probe firing.  May raise :class:`VMTrap` to abort."""
 
 
 class CompositeProbeRuntime(ProbeRuntime):
-    """Fan out probe events to several runtimes (e.g. coverage + CmpLog)."""
+    """Fan out probe events to several runtimes (e.g. coverage + CmpLog).
+
+    The VM flattens composites at the start of each run and calls the
+    leaf runtimes directly; :meth:`on_probe` serves other callers.
+    """
 
     def __init__(self, *runtimes: ProbeRuntime):
         self.runtimes = list(runtimes)
 
     def on_probe(self, kind: str, probe_id: int, args: Tuple[int, ...], vm: "VM") -> None:
         for runtime in self.runtimes:
-            runtime.on_probe(kind, probe_id, args, vm)
+            if runtime.kinds is None or kind in runtime.kinds:
+                runtime.on_probe(kind, probe_id, args, vm)
+
+
+def _leaf_runtimes(runtime: Optional[ProbeRuntime]) -> List[ProbeRuntime]:
+    """The runtimes *runtime* fans out to, depth first, in call order."""
+    if runtime is None:
+        return []
+    if isinstance(runtime, CompositeProbeRuntime):
+        return [leaf for child in runtime.runtimes for leaf in _leaf_runtimes(child)]
+    return [runtime]
 
 
 @dataclass
@@ -68,21 +94,6 @@ class ExecutionResult:
     @property
     def ok(self) -> bool:
         return self.trap is None
-
-
-def _decode(inst) -> tuple:
-    """Decode an op string once; cached on the instruction."""
-    parts = inst.op.split(".")
-    head = parts[0]
-    if head in ("bin", "bini"):
-        return (head, parts[1], _INT_BY_BITS[int(parts[2])])
-    if head in ("cmp", "cmpi"):
-        return (head, parts[1], _INT_BY_BITS[int(parts[2])])
-    if head == "cast":
-        return (head, parts[1], _INT_BY_BITS[int(parts[2])], _INT_BY_BITS[int(parts[3])])
-    if head in ("ld", "st"):
-        return (head, int(parts[1]) // 8)
-    return (head,)
 
 
 class VM:
@@ -119,7 +130,15 @@ class VM:
             raise VMError("memory too small for data image")
         self.memory = bytearray(mem_size)
         self.heap_base = (executable.data_end + 0xFFF) & ~0xFFF
-        self.builtins = BuiltinRuntime(self)
+        self.builtins = BuiltinRuntime()
+        self._decoder = Decoder(executable, self.memory, mem_size)
+        # Decoded functions by index; they depend on whether ``bb``
+        # markers call a block hook, and on the block tax they charge.
+        self._code: Dict[int, DecodedFunction] = {}
+        self._code_key: Optional[Tuple[bool, int]] = None
+        # Probe kind -> leaf runtimes consuming it, rebuilt each run.
+        self._probe_leaves: List[ProbeRuntime] = []
+        self._routes: Dict[str, Tuple[ProbeRuntime, ...]] = {}
         self.reset()
 
     # -- state management ------------------------------------------------------
@@ -147,7 +166,9 @@ class VM:
         return addr
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._check_range(addr, len(data), write=True, check_const=False)
+        """Write *data* (input injection, memcpy/memset); const data is
+        not protected here, only stores executed by the program are."""
+        self._check_range(addr, len(data), write=True)
         self.memory[addr : addr + len(data)] = data
 
     def read_bytes(self, addr: int, size: int) -> bytes:
@@ -160,24 +181,10 @@ class VM:
             raise VMTrap(f"unterminated string at {addr:#x}", "bad-memory")
         return bytes(self.memory[addr:end])
 
-    def _check_range(self, addr: int, size: int, write: bool, check_const: bool = True) -> None:
+    def _check_range(self, addr: int, size: int, write: bool) -> None:
         if addr < self.exe.data_base or addr + size > self.mem_size:
             kind = "write" if write else "read"
             raise VMTrap(f"invalid {kind} at {addr:#x} (+{size})", "bad-memory")
-        if write and check_const:
-            for lo, hi in self.exe.const_ranges:
-                if lo <= addr < hi:
-                    raise VMTrap(f"write to const data at {addr:#x}", "bad-memory")
-
-    def _load_int(self, addr: int, size: int) -> int:
-        self._check_range(addr, size, write=False)
-        return int.from_bytes(self.memory[addr : addr + size], "little")
-
-    def _store_int(self, addr: int, size: int, value: int) -> None:
-        self._check_range(addr, size, write=True)
-        self.memory[addr : addr + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
 
     # -- execution -------------------------------------------------------------------
 
@@ -198,6 +205,12 @@ class VM:
         if self.variant_selector is not None:
             # Per-execution selection modes re-draw their family here.
             self.variant_selector.begin_execution()
+        key = (self.block_hook is not None, self.block_tax)
+        if key != self._code_key:
+            self._code = {}
+            self._code_key = key
+        self._probe_leaves = _leaf_runtimes(self.probe_runtime)
+        self._routes = {}
         index = self.exe.function_index(entry)
         try:
             value = self._call(index, tuple(args))
@@ -210,6 +223,14 @@ class VM:
         result.cycles = self.cycles
         result.steps = self.steps
         return result
+
+    def _route(self, kind: str) -> Tuple[ProbeRuntime, ...]:
+        """The leaf runtimes that consume probe events of *kind*."""
+        runtimes = tuple(
+            rt for rt in self._probe_leaves if rt.kinds is None or kind in rt.kinds
+        )
+        self._routes[kind] = runtimes
+        return runtimes
 
     def _call(self, func_index: int, args: Tuple[int, ...]) -> int:
         """Execute one function to completion; recursion implements calls."""
@@ -224,165 +245,126 @@ class VM:
             )
             func_index = exe.dispatch(func_index, family)
             self.cycles += self.dispatch_tax
-        lf = self.exe.functions[func_index]
-        mf = lf.mf
-        if len(args) < self._fixed_args(mf):
-            raise VMTrap(f"call to @{mf.name} with too few arguments", "bad-call")
+        code = self._code.get(func_index)
+        if code is None:
+            code = self._code[func_index] = self._decoder.decode(
+                self.exe.functions[func_index], *self._code_key
+            )
 
-        regs: List[int] = [0] * max(mf.num_regs, len(args))
-        for i, value in enumerate(args):
-            if i < mf.num_regs:
-                regs[i] = value
-        frame_base = self.stack_ptr - mf.frame_size
+        num_regs = code.num_regs
+        regs: List[int] = [0] * max(num_regs, len(args))
+        used = min(num_regs, len(args))
+        regs[:used] = args[:used]
+        frame_base = self.stack_ptr - code.frame_size
         if frame_base < self.heap_ptr + 0x1000:
             raise VMTrap("stack overflow", "stack-overflow")
+        regs.append(frame_base)  # regs[-1], read by ``leaf``
         saved_sp = self.stack_ptr
         self.stack_ptr = frame_base
 
-        insts = mf.insts
-        resolution = lf.resolution
+        segments = code.segments
+        routes = self._routes
+        max_steps = self.max_steps
+        steps = self.steps
+        cycles = self.cycles
+        # True while self.steps/self.cycles are current: across a
+        # call-out, whose exceptions must not overwrite what it charged.
+        flushed = False
         pc = 0
-        n = len(insts)
         try:
-            while pc < n:
-                inst = insts[pc]
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise VMError(
-                        f"execution exceeded {self.max_steps} steps in @{mf.name}"
-                    )
-                self.cycles += inst.cost
-                dec = inst.__dict__.get("dec")
-                if dec is None:
-                    dec = _decode(inst)
-                    inst.dec = dec
-                head = dec[0]
-
-                if head == "bb":
-                    if self.block_hook is not None:
-                        self.block_hook(func_index, inst.imm)
-                    self.cycles += self.block_tax
-                    pc += 1
-                elif head == "movi":
-                    regs[inst.dst] = inst.imm
-                    pc += 1
-                elif head in ("mov", "freeze"):
-                    regs[inst.dst] = regs[inst.srcs[0]]
-                    pc += 1
-                elif head == "bin":
-                    try:
-                        regs[inst.dst] = eval_binary(
-                            dec[1], dec[2], regs[inst.srcs[0]], regs[inst.srcs[1]]
-                        )
-                    except ZeroDivisionError:
-                        raise VMTrap("integer division by zero", "div-by-zero")
-                    pc += 1
-                elif head == "bini":
-                    try:
-                        regs[inst.dst] = eval_binary(
-                            dec[1], dec[2], regs[inst.srcs[0]], inst.imm
-                        )
-                    except ZeroDivisionError:
-                        raise VMTrap("integer division by zero", "div-by-zero")
-                    pc += 1
-                elif head == "cmp":
-                    regs[inst.dst] = eval_icmp(
-                        dec[1], dec[2], regs[inst.srcs[0]], regs[inst.srcs[1]]
-                    )
-                    pc += 1
-                elif head == "cmpi":
-                    regs[inst.dst] = eval_icmp(
-                        dec[1], dec[2], regs[inst.srcs[0]], inst.imm
-                    )
-                    pc += 1
-                elif head == "cast":
-                    regs[inst.dst] = eval_cast(
-                        dec[1], dec[2], dec[3], regs[inst.srcs[0]]
-                    )
-                    pc += 1
-                elif head == "sel":
-                    c, a, b = inst.srcs
-                    regs[inst.dst] = regs[a] if regs[c] else regs[b]
-                    pc += 1
-                elif head == "ld":
-                    regs[inst.dst] = self._load_int(regs[inst.srcs[0]], dec[1])
-                    pc += 1
-                elif head == "st":
-                    self._store_int(regs[inst.srcs[0]], dec[1], regs[inst.srcs[1]])
-                    pc += 1
-                elif head == "addsc":
-                    base, index = inst.srcs
-                    idx = regs[index]
-                    if idx >= 1 << 63:  # negative index in unsigned rep
-                        idx -= 1 << 64
-                    regs[inst.dst] = (regs[base] + idx * inst.imm) & ((1 << 64) - 1)
-                    pc += 1
-                elif head == "lea":
-                    kind, value = resolution[inst.sym]
-                    if kind == "data":
-                        regs[inst.dst] = value
-                    elif kind == "func":
-                        regs[inst.dst] = self.exe.function_address(value)
+            while True:
+                ops, n, cost, term, a, b, x, nxt = segments[pc]
+                steps += n
+                if steps > max_steps:
+                    flushed = True
+                    self._exhaust(code, pc, regs, steps - n, cycles)
+                cycles += cost
+                for op in ops:
+                    op(regs)
+                if term == BRANCH:
+                    pc = b if regs[a] else x
+                elif term == GOTO:
+                    pc = a
+                elif term == PROBE:
+                    runtimes = routes.get(a)
+                    if runtimes is None:
+                        runtimes = self._route(a)
+                    if runtimes:
+                        probe_args = x(regs) if x is not None else ()
+                        self.steps = steps
+                        self.cycles = cycles
+                        flushed = True
+                        for runtime in runtimes:
+                            runtime.on_probe(a, b, probe_args, self)
+                        steps = self.steps
+                        cycles = self.cycles
+                        flushed = False
+                    pc = nxt
+                elif term == RET:
+                    self.steps = steps
+                    self.cycles = cycles
+                    flushed = True
+                    return regs[a] if a >= 0 else 0
+                elif term == CALL or term == BUILTIN or term == ICALL:
+                    if term == ICALL:
+                        a = self.exe.index_from_address(regs[a])
+                    call_args = x(regs) if x is not None else ()
+                    self.steps = steps
+                    self.cycles = cycles
+                    flushed = True
+                    if term == BUILTIN:
+                        value = self.builtins.call(self, a, call_args)
                     else:
-                        raise VMTrap(f"cannot take address of builtin {value}", "bad-call")
-                    pc += 1
-                elif head == "leaf":
-                    regs[inst.dst] = frame_base + inst.imm
-                    pc += 1
-                elif head == "jmp":
-                    pc = inst.targets[0]
-                elif head == "brt":
-                    pc = inst.targets[0] if regs[inst.srcs[0]] else inst.targets[1]
-                elif head == "switch":
-                    value = regs[inst.srcs[0]]
-                    signed = value - (1 << 64) if value >= 1 << 63 else value
-                    target = inst.targets[0]
-                    for case_value, case_target in inst.table:
-                        if case_value == signed or case_value == value:
-                            target = case_target
-                            break
-                    pc = target
-                elif head == "call":
-                    kind, value = resolution[inst.sym]
-                    call_args = tuple(regs[r] for r in inst.args)
-                    if kind == "func":
-                        result = self._call(value, call_args)
-                    elif kind == "builtin":
-                        result = self.builtins.call(value, call_args)
-                    else:
-                        raise VMTrap(f"call to data symbol @{inst.sym}", "bad-call")
-                    if inst.dst >= 0:
-                        regs[inst.dst] = result
-                    pc += 1
-                elif head == "icall":
-                    target_index = self.exe.index_from_address(regs[inst.srcs[0]])
-                    call_args = tuple(regs[r] for r in inst.args)
-                    result = self._call(target_index, call_args)
-                    if inst.dst >= 0:
-                        regs[inst.dst] = result
-                    pc += 1
-                elif head == "probe":
-                    if self.probe_runtime is not None:
-                        self.probe_runtime.on_probe(
-                            inst.probe_kind,
-                            inst.probe_id,
-                            tuple(regs[r] for r in inst.args),
-                            self,
-                        )
-                    pc += 1
-                elif head == "ret":
-                    return regs[inst.srcs[0]] if inst.srcs else 0
-                elif head == "trap":
-                    raise VMTrap(f"unreachable executed in @{mf.name}", "unreachable")
-                else:  # pragma: no cover
-                    raise VMError(f"unknown machine op {inst.op!r}")
-            raise VMTrap(f"fell off the end of @{mf.name}", "bad-code")
+                        value = self._call(a, call_args)
+                    steps = self.steps
+                    cycles = self.cycles
+                    flushed = False
+                    if b >= 0:
+                        regs[b] = value
+                    pc = nxt
+                elif term == SWITCH:
+                    pc = a(regs)
+                elif term == HOOK:
+                    self.steps = steps
+                    self.cycles = cycles
+                    flushed = True
+                    self.block_hook(func_index, a)
+                    steps = self.steps
+                    cycles = self.cycles + self.block_tax
+                    flushed = False
+                    pc = nxt
+                else:  # RAISE
+                    raise a()
+        except BaseException as exc:
+            if not flushed:
+                if type(exc) is Fault:
+                    # The segment was charged whole: take back the
+                    # instructions after the one that trapped.
+                    done = exc.pc - pc + 1
+                    steps -= n - done
+                    cycles -= cost - sum(c for c, _op in code.bodies[pc][:done])
+                self.steps = steps
+                self.cycles = cycles
+            raise
         finally:
             self.stack_ptr = saved_sp
 
-    @staticmethod
-    def _fixed_args(mf) -> int:
-        return 0  # arity is enforced at the IR level; the VM is permissive
+    def _exhaust(self, code: DecodedFunction, pc: int, regs: List[int],
+                 steps: int, cycles: int) -> None:
+        """Run the segment at *pc* one instruction at a time up to the
+        step limit, then raise :class:`VMError`; the counters are written
+        back either way."""
+        try:
+            for cost, op in code.bodies[pc][: self.max_steps - steps]:
+                steps += 1
+                cycles += cost
+                if op is not None:
+                    op(regs)
+            steps += 1
+            raise VMError(f"execution exceeded {self.max_steps} steps in @{code.name}")
+        finally:
+            self.steps = steps
+            self.cycles = cycles
 
 
 def run_program(

@@ -33,10 +33,14 @@ def _signed64(value: int) -> int:
 
 
 class BuiltinRuntime:
-    """State and dispatch for runtime builtins."""
+    """State and dispatch for runtime builtins.
 
-    def __init__(self, vm: "VM"):
-        self.vm = vm
+    The calling VM is passed to each call rather than held: the VM owns
+    this object, and a back reference would keep every dropped VM (and
+    its memory image) alive until a cyclic garbage collection.
+    """
+
+    def __init__(self):
         self._stdout = bytearray()
 
     def reset(self) -> None:
@@ -47,35 +51,35 @@ class BuiltinRuntime:
 
     # -- dispatch ------------------------------------------------------------
 
-    def call(self, name: str, args: Tuple[int, ...]) -> int:
+    def call(self, vm: "VM", name: str, args: Tuple[int, ...]) -> int:
         handler = getattr(self, f"do_{name}", None)
         if handler is None:
             raise VMTrap(f"unknown builtin {name!r}", "bad-call")
-        self.vm.cycles += BUILTIN_BASE_CYCLES
-        return handler(args)
+        vm.cycles += BUILTIN_BASE_CYCLES
+        return handler(vm, args)
 
     # -- stdio ----------------------------------------------------------------
 
-    def do_printf(self, args: Tuple[int, ...]) -> int:
+    def do_printf(self, vm: "VM", args: Tuple[int, ...]) -> int:
         if not args:
             raise VMTrap("printf with no format", "bad-call")
-        fmt = self.vm.read_cstring(args[0])
-        out = self._format(fmt, args[1:])
+        fmt = vm.read_cstring(args[0])
+        out = self._format(vm, fmt, args[1:])
         self._stdout.extend(out)
-        self.vm.cycles += len(out) * BUILTIN_BYTE_CYCLES
+        vm.cycles += len(out) * BUILTIN_BYTE_CYCLES
         return len(out)
 
-    def do_puts(self, args: Tuple[int, ...]) -> int:
-        text = self.vm.read_cstring(args[0])
+    def do_puts(self, vm: "VM", args: Tuple[int, ...]) -> int:
+        text = vm.read_cstring(args[0])
         self._stdout.extend(text + b"\n")
-        self.vm.cycles += (len(text) + 1) * BUILTIN_BYTE_CYCLES
+        vm.cycles += (len(text) + 1) * BUILTIN_BYTE_CYCLES
         return len(text) + 1
 
-    def do_putchar(self, args: Tuple[int, ...]) -> int:
+    def do_putchar(self, vm: "VM", args: Tuple[int, ...]) -> int:
         self._stdout.append(args[0] & 0xFF)
         return args[0] & 0xFF
 
-    def _format(self, fmt: bytes, args: Tuple[int, ...]) -> bytes:
+    def _format(self, vm: "VM", fmt: bytes, args: Tuple[int, ...]) -> bytes:
         out = bytearray()
         arg_index = 0
         i = 0
@@ -114,7 +118,7 @@ class BuiltinRuntime:
             elif spec == ord("c"):
                 out.append(next_arg() & 0xFF)
             elif spec == ord("s"):
-                out.extend(self.vm.read_cstring(next_arg()))
+                out.extend(vm.read_cstring(next_arg()))
             elif spec == ord("p"):
                 out.extend(format(next_arg(), "#x").encode())
             else:
@@ -123,48 +127,48 @@ class BuiltinRuntime:
 
     # -- memory -----------------------------------------------------------------
 
-    def do_malloc(self, args: Tuple[int, ...]) -> int:
-        return self.vm.alloc(_signed64(args[0]))
+    def do_malloc(self, vm: "VM", args: Tuple[int, ...]) -> int:
+        return vm.alloc(_signed64(args[0]))
 
-    def do_free(self, args: Tuple[int, ...]) -> int:
+    def do_free(self, vm: "VM", args: Tuple[int, ...]) -> int:
         return 0  # bump allocator: free is a no-op
 
-    def do_memcpy(self, args: Tuple[int, ...]) -> int:
+    def do_memcpy(self, vm: "VM", args: Tuple[int, ...]) -> int:
         dst, src, size = args[0], args[1], _signed64(args[2])
         if size < 0:
             raise VMTrap("memcpy with negative size", "bad-memory")
-        data = self.vm.read_bytes(src, size)
-        self.vm.write_bytes(dst, data)
-        self.vm.cycles += size * BUILTIN_BYTE_CYCLES
+        data = vm.read_bytes(src, size)
+        vm.write_bytes(dst, data)
+        vm.cycles += size * BUILTIN_BYTE_CYCLES
         return dst
 
-    def do_memset(self, args: Tuple[int, ...]) -> int:
+    def do_memset(self, vm: "VM", args: Tuple[int, ...]) -> int:
         dst, byte, size = args[0], args[1] & 0xFF, _signed64(args[2])
         if size < 0:
             raise VMTrap("memset with negative size", "bad-memory")
-        self.vm.write_bytes(dst, bytes([byte]) * size)
-        self.vm.cycles += size * BUILTIN_BYTE_CYCLES
+        vm.write_bytes(dst, bytes([byte]) * size)
+        vm.cycles += size * BUILTIN_BYTE_CYCLES
         return dst
 
     # -- strings ------------------------------------------------------------------
 
-    def do_strlen(self, args: Tuple[int, ...]) -> int:
-        text = self.vm.read_cstring(args[0])
-        self.vm.cycles += len(text) * BUILTIN_BYTE_CYCLES
+    def do_strlen(self, vm: "VM", args: Tuple[int, ...]) -> int:
+        text = vm.read_cstring(args[0])
+        vm.cycles += len(text) * BUILTIN_BYTE_CYCLES
         return len(text)
 
-    def do_strcmp(self, args: Tuple[int, ...]) -> int:
-        a = self.vm.read_cstring(args[0])
-        b = self.vm.read_cstring(args[1])
-        self.vm.cycles += min(len(a), len(b)) * BUILTIN_BYTE_CYCLES
+    def do_strcmp(self, vm: "VM", args: Tuple[int, ...]) -> int:
+        a = vm.read_cstring(args[0])
+        b = vm.read_cstring(args[1])
+        vm.cycles += min(len(a), len(b)) * BUILTIN_BYTE_CYCLES
         if a == b:
             return 0
         return 1 if a > b else (1 << 64) - 1  # -1 in unsigned rep
 
     # -- process ----------------------------------------------------------------------
 
-    def do_abort(self, args: Tuple[int, ...]) -> int:
+    def do_abort(self, vm: "VM", args: Tuple[int, ...]) -> int:
         raise VMTrap("abort() called", "abort")
 
-    def do_exit(self, args: Tuple[int, ...]) -> int:
+    def do_exit(self, vm: "VM", args: Tuple[int, ...]) -> int:
         raise ExitProgram(_signed64(args[0]) if args else 0)

@@ -264,25 +264,245 @@ entry:
         assert vm.run("f").exit_code == 1  # run() resets
 
 
-class TestDifferentialArithmetic:
-    """Property test: VM arithmetic equals the shared semantics module."""
+class TestProbeRouting:
+    SOURCE = """
+declare void @__odin_cov_hit(i64)
+declare void @__cmplog_hit(i64, i64, i64)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_binary_matches_semantics(self, op, a, b):
-        from repro.ir.semantics import eval_binary
-        from repro.ir.types import I32
-
-        src = f"""
-define i32 @f(i32 %a, i32 %b) {{
+define i32 @f(i64 %a) {
 entry:
-  %r = {op} i32 %a, %b
-  ret i32 %r
-}}
+  call void @__odin_cov_hit(i64 1)
+  call void @__cmplog_hit(i64 2, i64 %a, i64 7)
+  call void @__odin_cov_hit(i64 3)
+  ret i32 0
+}
 """
-        got = run_fn(src, "f", (a, b)).exit_code
-        assert got == eval_binary(op, I32, a, b)
+
+    class Log(ProbeRuntime):
+        def __init__(self, name, log, kinds=None):
+            self.name, self.log = name, log
+            if kinds is not None:
+                self.kinds = frozenset(kinds)
+
+        def on_probe(self, kind, probe_id, args, vm):
+            self.log.append((self.name, kind, probe_id, args))
+
+    def test_events_reach_only_declared_kinds_in_tree_order(self):
+        log = []
+        Log = self.Log
+        runtime = CompositeProbeRuntime(
+            Log("cov", log, {"cov"}),
+            CompositeProbeRuntime(Log("cmp", log, {"cmplog"}), Log("all", log)),
+            Log("none", log, ()),
+        )
+        VM(build_exe(self.SOURCE), probe_runtime=runtime).run("f", (5,))
+        assert log == [
+            ("cov", "cov", 1, ()), ("all", "cov", 1, ()),
+            ("cmp", "cmplog", 2, (5, 7)), ("all", "cmplog", 2, (5, 7)),
+            ("cov", "cov", 3, ()), ("all", "cov", 3, ()),
+        ]
+
+    def test_composite_on_probe_routes_by_kind(self):
+        log = []
+        runtime = CompositeProbeRuntime(self.Log("cov", log, {"cov"}), self.Log("all", log))
+        runtime.on_probe("asan", 9, (1, 2), None)
+        assert log == [("all", "asan", 9, (1, 2))]
+
+    def test_on_probe_is_looked_up_per_event(self):
+        """Swapping a runtime class's on_probe takes effect at once (the
+        benchmark's tracer wraps it from outside)."""
+        seen = []
+
+        class Swapping(ProbeRuntime):
+            def on_probe(self, kind, probe_id, args, vm):
+                seen.append(("first", probe_id))
+                Swapping.on_probe = lambda self, k, p, a, v: seen.append(("second", p))
+
+        VM(build_exe(self.SOURCE), probe_runtime=Swapping()).run("f", (0,))
+        assert seen == [("first", 1), ("second", 2), ("second", 3)]
+
+    def test_runtime_changes_between_runs(self):
+        log = []
+        vm = VM(build_exe(self.SOURCE), probe_runtime=self.Log("a", log, {"cov"}))
+        vm.run("f", (0,))
+        vm.probe_runtime = self.Log("b", log, {"cmplog"})
+        vm.run("f", (0,))
+        assert [entry[:3] for entry in log] == [
+            ("a", "cov", 1), ("a", "cov", 3), ("b", "cmplog", 2),
+        ]
+
+
+class TestLifetime:
+    SOURCE = """
+@g = global i32 0
+
+define i32 @f(i32 %x) {
+entry:
+  %v = load i32, ptr @g
+  %r = mul i32 %v, %x
+  %c = icmp slt i32 %r, 100
+  %s = sext i1 %c to i32
+  store i32 %s, ptr @g
+  ret i32 %r
+}
+
+define i32 @bad() {
+entry:
+  %v = load i32, ptr null
+  ret i32 %v
+}
+"""
+
+    def test_dropped_vm_is_freed_without_gc(self):
+        import gc
+        import weakref
+
+        exe = build_exe(self.SOURCE)
+        gc.collect()
+        gc.disable()
+        try:
+            vm = VM(exe, probe_runtime=ProbeRuntime())
+            assert vm.run("f", (3,)).ok
+            assert vm.run("bad").trap == "bad-memory"
+            ref = weakref.ref(vm)
+            del vm
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_executed_object_pickles(self):
+        import pickle
+
+        obj = lower_module(parse_module(self.SOURCE))
+        exe = link([obj])
+        vm = VM(exe)
+        vm.run("f", (3,))
+        vm.run("f", (5,))
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone.canonical_bytes() == obj.canonical_bytes()
+        assert VM(link([clone])).run("f", (3,)) == VM(exe).run("f", (3,))
+
+
+BINARY_OPCODES = ("add", "sub", "mul", "udiv", "sdiv", "urem", "srem",
+                  "and", "or", "xor", "shl", "lshr", "ashr")
+PREDICATES = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
+WIDTHS = (1, 8, 16, 32, 64)
+
+
+def edge_values(bits):
+    """Boundary values of an iN, in its unsigned representation."""
+    top = (1 << bits) - 1
+    sign = 1 << (bits - 1)
+    return sorted({0, 1, 2 % (top + 1), 3 & top, sign - 1, sign, sign + 1 & top,
+                   top - 1, top, 0x5A5A5A5A5A5A5A5A & top})
+
+
+def _store_result(value, bits):
+    """IR that widens *value* (an iN) to i64 and stores it to @out."""
+    if bits == 64:
+        return f"  store i64 {value}, ptr @out\n"
+    return f"  %w = zext i{bits} {value} to i64\n  store i64 %w, ptr @out\n"
+
+
+class Harness:
+    """Functions @f0, @f1, ... of one module, each storing one result."""
+
+    def __init__(self, bodies, params):
+        functions = "".join(
+            f"define void @f{i}({params}) {{\nentry:\n{body}  ret void\n}}\n"
+            for i, body in enumerate(bodies)
+        )
+        self.exe = build_exe("@out = global i64 0\n" + functions)
+        self.out = self.exe.symbol_addresses["out"]
+
+    def run(self, index, args):
+        """The stored result, or the trap kind."""
+        vm = VM(self.exe)
+        result = vm.run(f"f{index}", args)
+        if result.trap is not None:
+            return result.trap
+        return int.from_bytes(vm.read_bytes(self.out, 8), "little")
+
+
+def expect(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return "div-by-zero"
+
+
+class TestDifferentialArithmetic:
+    """Property test: VM arithmetic equals the shared semantics module,
+    for every opcode, operand form (register or immediate) and width."""
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize("op", BINARY_OPCODES)
+    def test_binary_edges(self, op, bits):
+        from repro.ir.semantics import eval_binary
+        from repro.ir.types import IntType
+
+        ty = IntType(bits)
+        values = edge_values(bits)
+        # @f0: both operands in registers; @f<k+1>: immediate values[k].
+        bodies = [f"  %r = {op} i{bits} %a, %b\n" + _store_result("%r", bits)]
+        bodies += [f"  %r = {op} i{bits} %a, {k}\n" + _store_result("%r", bits)
+                   for k in values]
+        harness = Harness(bodies, f"i{bits} %a, i{bits} %b")
+        for a in values:
+            for j, b in enumerate(values):
+                want = expect(eval_binary, op, ty, a, b)
+                assert harness.run(0, (a, b)) == want, ("bin", op, bits, a, b)
+                assert harness.run(j + 1, (a, 0)) == want, ("bini", op, bits, a, b)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize("pred", PREDICATES)
+    def test_icmp_edges(self, pred, bits):
+        from repro.ir.semantics import eval_icmp
+        from repro.ir.types import IntType
+
+        ty = IntType(bits)
+        values = edge_values(bits)
+        bodies = [f"  %r = icmp {pred} i{bits} %a, %b\n" + _store_result("%r", 1)]
+        bodies += [f"  %r = icmp {pred} i{bits} %a, {k}\n" + _store_result("%r", 1)
+                   for k in values]
+        harness = Harness(bodies, f"i{bits} %a, i{bits} %b")
+        for a in values:
+            for j, b in enumerate(values):
+                want = eval_icmp(pred, ty, a, b)
+                assert harness.run(0, (a, b)) == want, ("cmp", pred, bits, a, b)
+                assert harness.run(j + 1, (a, 0)) == want, ("cmpi", pred, bits, a, b)
+
+    @pytest.mark.parametrize(
+        "op,src,dst",
+        [("zext", f, t) for f in WIDTHS for t in WIDTHS if f < t]
+        + [("sext", f, t) for f in WIDTHS for t in WIDTHS if f < t]
+        + [("trunc", f, t) for f in WIDTHS for t in WIDTHS if f > t],
+    )
+    def test_cast_edges(self, op, src, dst):
+        from repro.ir.semantics import eval_cast
+        from repro.ir.types import IntType
+
+        body = f"  %r = {op} i{src} %a to i{dst}\n" + _store_result("%r", dst)
+        harness = Harness([body], f"i{src} %a")
+        for a in edge_values(src):
+            want = eval_cast(op, IntType(src), IntType(dst), a)
+            assert harness.run(0, (a,)) == want, (op, src, dst, a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_binary_matches_semantics(self, data):
+        from repro.ir.semantics import eval_binary
+        from repro.ir.types import IntType
+
+        op = data.draw(st.sampled_from(BINARY_OPCODES))
+        bits = data.draw(st.sampled_from(WIDTHS))
+        a = data.draw(st.integers(0, (1 << bits) - 1))
+        b = data.draw(st.integers(0, (1 << bits) - 1))
+        harness = Harness(
+            [f"  %r = {op} i{bits} %a, %b\n" + _store_result("%r", bits),
+             f"  %r = {op} i{bits} %a, {b}\n" + _store_result("%r", bits)],
+            f"i{bits} %a, i{bits} %b",
+        )
+        want = expect(eval_binary, op, IntType(bits), a, b)
+        assert harness.run(0, (a, b)) == want
+        assert harness.run(1, (a, 0)) == want
