@@ -38,13 +38,13 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.check.oracle import PRESERVED, DifferentialOracle
+from repro.check.oracle import DifferentialOracle
 from repro.check.schedules import (
     ProbeSchedule,
     generate_schedules,
     pick_targets,
 )
-from repro.fuzz.executor import OdinCovExecutor
+from repro.fuzz.executor import PRESERVED, OdinCovExecutor
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import TargetProgram
 from repro.service.jobs import (

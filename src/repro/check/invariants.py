@@ -19,10 +19,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.engine import Odin, object_fingerprint
+from repro.fuzz.executor import PRESERVED
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import TargetProgram
-
-PRESERVED = ("main", "run_input")
 
 
 class RecordingCache:

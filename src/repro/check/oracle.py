@@ -35,14 +35,26 @@ from repro.check.schedules import (
     ProbeSchedule,
     pick_targets,
 )
-from repro.fuzz.executor import ENTRY, OdinCovExecutor
+from repro.fuzz.executor import PRESERVED, OdinCovExecutor, run_input
 from repro.instrument.coverage import CoverageRuntime, OdinCov
 from repro.linker.linker import Executable
 from repro.programs.registry import TargetProgram
 from repro.utils.rng import DeterministicRNG
 from repro.vm.interpreter import VM
 
-PRESERVED = ("main", "run_input")
+#: (exit code, stdout, trap, cycles, covered probe ids) of one input.
+Behaviour = Tuple[int, bytes, Optional[str], int, FrozenSet[int]]
+BEHAVIOUR_FIELDS = ("exit_code", "stdout", "trap", "cycles", "coverage")
+
+
+def run_with_coverage(executable: Optional[Executable], data: bytes) -> Behaviour:
+    """Run one input on a fresh VM + coverage runtime."""
+    if executable is None:
+        return (-1, b"", "no executable", 0, frozenset())
+    runtime = CoverageRuntime()
+    result = run_input(VM(executable, probe_runtime=runtime), data)
+    covered = frozenset(pid for pid, hits in runtime.counters.items() if hits)
+    return (result.exit_code, result.stdout, result.trap, result.cycles, covered)
 
 
 @dataclass
@@ -233,29 +245,14 @@ class DifferentialOracle:
         if inc_exe is None or ref_exe is None:
             return ["an engine has no executable to compare"]
         for data in self.inputs:
-            inc = self._run_one(inc_exe, data)
-            ref = self._run_one(ref_exe, data)
-            for name, a, b in zip(
-                ("exit_code", "stdout", "trap", "cycles", "coverage"), inc, ref
-            ):
+            inc = run_with_coverage(inc_exe, data)
+            ref = run_with_coverage(ref_exe, data)
+            for name, a, b in zip(BEHAVIOUR_FIELDS, inc, ref):
                 if a != b:
                     mismatches.append(
                         f"input {data[:16]!r}: {name} differs ({a!r} != {b!r})"
                     )
         return mismatches
-
-    def _run_one(
-        self, executable: Executable, data: bytes
-    ) -> Tuple[int, bytes, Optional[str], int, FrozenSet[int]]:
-        """Run one input on a fresh VM + coverage runtime."""
-        runtime = CoverageRuntime()
-        vm = VM(executable, probe_runtime=runtime)
-        vm.reset()
-        addr = vm.alloc(max(len(data), 1) + 1)
-        vm.write_bytes(addr, data)
-        result = vm.run(ENTRY, (addr, len(data)), reset=False)
-        covered = frozenset(pid for pid, hits in runtime.counters.items() if hits)
-        return (result.exit_code, result.stdout, result.trap, result.cycles, covered)
 
 
 class _IncrementalSession:

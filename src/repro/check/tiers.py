@@ -27,7 +27,7 @@ to be merely "close" to the slow one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.check.schedules import (
     STEP_DISABLE,
@@ -37,15 +37,12 @@ from repro.check.schedules import (
     ProbeSchedule,
     pick_targets,
 )
+from repro.check.oracle import BEHAVIOUR_FIELDS, run_with_coverage
 from repro.core.engine import Odin
-from repro.fuzz.executor import ENTRY, OdinCovExecutor
-from repro.instrument.coverage import CoverageRuntime, OdinCov
-from repro.linker.linker import Executable
+from repro.fuzz.executor import PRESERVED, OdinCovExecutor
+from repro.instrument.coverage import OdinCov
 from repro.programs.registry import TargetProgram
 from repro.utils.rng import DeterministicRNG
-from repro.vm.interpreter import VM
-
-PRESERVED = ("main", "run_input")
 
 # Tier label -> engine configuration.  The full path is last so the two
 # fast tiers always diff against the slowest, most conservative build.
@@ -276,7 +273,8 @@ class TierSweep:
         ref_objs = reference.engine.object_fingerprints()
         ref_exe_fp = reference.engine.executable_fingerprint()
         ref_behaviour = [
-            _run_one(reference.engine.executable, data) for data in self.inputs
+            run_with_coverage(reference.engine.executable, data)
+            for data in self.inputs
         ]
         for session in sessions[:-1]:
             objs = session.engine.object_fingerprints()
@@ -299,12 +297,8 @@ class TierSweep:
                     f"({str(exe_fp)[:12]} != {str(ref_exe_fp)[:12]})"
                 )
             for data, ref in zip(self.inputs, ref_behaviour):
-                got = _run_one(session.engine.executable, data)
-                for name, a, b in zip(
-                    ("exit_code", "stdout", "trap", "cycles", "coverage"),
-                    got,
-                    ref,
-                ):
+                got = run_with_coverage(session.engine.executable, data)
+                for name, a, b in zip(BEHAVIOUR_FIELDS, got, ref):
                     if a != b:
                         mismatches.append(
                             f"{session.label}: input {data[:16]!r} {name} "
@@ -312,18 +306,3 @@ class TierSweep:
                         )
         return mismatches
 
-
-def _run_one(
-    executable: Optional[Executable], data: bytes
-) -> Tuple[int, bytes, Optional[str], int, FrozenSet[int]]:
-    """Run one input on a fresh VM + coverage runtime."""
-    if executable is None:
-        return (-1, b"", "no executable", 0, frozenset())
-    runtime = CoverageRuntime()
-    vm = VM(executable, probe_runtime=runtime)
-    vm.reset()
-    addr = vm.alloc(max(len(data), 1) + 1)
-    vm.write_bytes(addr, data)
-    result = vm.run(ENTRY, (addr, len(data)), reset=False)
-    covered = frozenset(pid for pid, hits in runtime.counters.items() if hits)
-    return (result.exit_code, result.stdout, result.trap, result.cycles, covered)

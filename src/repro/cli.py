@@ -43,14 +43,12 @@ from typing import List, Optional
 
 from repro.core.engine import Odin
 from repro.core.variants import VARIANT_LABELS
-from repro.fuzz.executor import OdinCovExecutor
+from repro.fuzz.executor import PRESERVED, OdinCovExecutor
 from repro.fuzz.fuzzer import Fuzzer
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import all_programs, get_program
 from repro.toolchain import build_module
 from repro.vm.interpreter import VM
-
-PRESERVED = ("main", "run_input")
 
 
 def cmd_list(_args) -> int:
@@ -387,6 +385,46 @@ def cmd_cluster(args) -> int:
 
 
 DEFAULT_PARTISAN_PROGRAMS = ("json", "lcms", "libjpeg")
+DEFAULT_PROFILE_PROGRAMS = ("json", "lcms")
+
+
+def _add_budget_flags(
+    parser, programs, *, executions: int, window: int, strict_help: str
+) -> None:
+    """The flags ``partisan`` and ``profile`` share: both drive the
+    budget loop in :mod:`repro.budget` over a list of programs."""
+    parser.add_argument(
+        "programs", nargs="*",
+        help=f"targets to run (default: {' '.join(programs)})",
+    )
+    parser.add_argument("--budget", type=float, default=0.25,
+                        help="target fractional slowdown over clean")
+    parser.add_argument("--executions", type=int, default=executions)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--window", type=int, default=window,
+                        help="executions per controller window")
+    parser.add_argument("--max-inputs", type=int, default=4,
+                        help="seed-corpus inputs cycled through")
+    parser.add_argument("--windows", action="store_true",
+                        help="print every controller window")
+    parser.add_argument("--strict", action="store_true", help=strict_help)
+    parser.add_argument("--report-json", default=None,
+                        help="write the machine-readable report here")
+    parser.add_argument("--trace-out", default=None,
+                        help="export the run's span trees here")
+
+
+def _finish_budget_command(args, name, payload, spans, failed: bool) -> int:
+    """Write the JSON report and trace a budget command asked for, then
+    print and return its verdict."""
+    if args.report_json:
+        with open(args.report_json, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        print(f"{name} report written to {args.report_json}")
+    if args.trace_out:
+        _write_trace_file(args.trace_out, spans)
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
 
 
 def cmd_partisan(args) -> int:
@@ -438,17 +476,7 @@ def cmd_partisan(args) -> int:
                 print(f"  VARIANT {mismatch}")
             failed = failed or not variant_report.ok
 
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"partisan report written to {args.report_json}")
-    if args.trace_out:
-        _write_trace_file(args.trace_out, all_spans)
-    print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
-
-
-DEFAULT_PROFILE_PROGRAMS = ("json", "lcms")
+    return _finish_budget_command(args, "partisan", payload, all_spans, failed)
 
 
 def cmd_profile(args) -> int:
@@ -506,14 +534,7 @@ def cmd_profile(args) -> int:
                     f"(tiers: {', '.join(report.rebuild_tiers)})"
                 )
 
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"profile report written to {args.report_json}")
-    if args.trace_out:
-        _write_trace_file(args.trace_out, all_spans)
-    print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
+    return _finish_budget_command(args, "profile", payload, all_spans, failed)
 
 
 def cmd_lint(args) -> int:
@@ -852,62 +873,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "partisan",
         help="run-time partitioned sanitization under an overhead budget",
     )
-    p_partisan.add_argument(
-        "programs", nargs="*",
-        help=f"targets to run (default: {' '.join(DEFAULT_PARTISAN_PROGRAMS)})",
+    _add_budget_flags(
+        p_partisan, DEFAULT_PARTISAN_PROGRAMS, executions=720, window=60,
+        strict_help="fail if the controller did not converge",
     )
-    p_partisan.add_argument("--budget", type=float, default=0.25,
-                            help="target fractional slowdown over clean")
-    p_partisan.add_argument("--executions", type=int, default=720)
-    p_partisan.add_argument("--seed", type=int, default=1)
     p_partisan.add_argument(
         "--mode", default="per-call", choices=("per-call", "per-execution"),
         help="variant selection granularity (PartiSan's two policies)",
     )
-    p_partisan.add_argument("--window", type=int, default=60,
-                            help="executions per controller window")
     p_partisan.add_argument("--dispatch-tax", type=int, default=0,
                             help="cycles charged per dispatched call")
-    p_partisan.add_argument("--max-inputs", type=int, default=4,
-                            help="seed-corpus inputs cycled through")
-    p_partisan.add_argument("--windows", action="store_true",
-                            help="print every controller window")
-    p_partisan.add_argument("--strict", action="store_true",
-                            help="fail if the controller did not converge")
     p_partisan.add_argument("--no-check", action="store_true",
                             help="skip the clean-dispatch equivalence check")
-    p_partisan.add_argument("--report-json", default=None,
-                            help="write the machine-readable report here")
-    p_partisan.add_argument("--trace-out", default=None,
-                            help="export build/deinstrument span trees here")
     p_partisan.set_defaults(fn=cmd_partisan)
 
     p_profile = sub.add_parser(
         "profile",
         help="budgeted call-path profiling through the patch tier",
     )
-    p_profile.add_argument(
-        "programs", nargs="*",
-        help=f"targets to profile (default: {' '.join(DEFAULT_PROFILE_PROGRAMS)})",
+    _add_budget_flags(
+        p_profile, DEFAULT_PROFILE_PROGRAMS, executions=300, window=20,
+        strict_help="fail unless converged with patch-only toggles",
     )
-    p_profile.add_argument("--budget", type=float, default=0.25,
-                           help="target fractional slowdown over clean")
-    p_profile.add_argument("--executions", type=int, default=300)
-    p_profile.add_argument("--seed", type=int, default=1)
-    p_profile.add_argument("--window", type=int, default=20,
-                           help="executions per controller window")
-    p_profile.add_argument("--max-inputs", type=int, default=4,
-                           help="seed-corpus inputs cycled through")
     p_profile.add_argument("--top", type=int, default=8,
                            help="flat-profile and edge rows to print")
-    p_profile.add_argument("--windows", action="store_true",
-                           help="print every controller window")
-    p_profile.add_argument("--strict", action="store_true",
-                           help="fail unless converged with patch-only toggles")
-    p_profile.add_argument("--report-json", default=None,
-                           help="write the machine-readable report here")
-    p_profile.add_argument("--trace-out", default=None,
-                           help="export the call-path span tree here")
     p_profile.set_defaults(fn=cmd_profile)
 
     p_chaos = sub.add_parser(

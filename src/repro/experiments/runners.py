@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.engine import Odin, RebuildReport
 from repro.core.partition import STRATEGY_ODIN
 from repro.fuzz.executor import (
+    PRESERVED,
     DrCovExecutor,
     Executor,
     LibInstExecutor,
@@ -26,8 +27,6 @@ from repro.instrument.coverage import OdinCov
 from repro.instrument.sancov import build_sancov
 from repro.programs.registry import TargetProgram
 from repro.toolchain import build_module
-
-PRESERVED = ("main", "run_input")
 
 # Tool names, in the paper's figure order.
 TOOL_ODINCOV = "OdinCov"

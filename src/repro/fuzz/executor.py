@@ -21,6 +21,18 @@ from repro.linker.linker import Executable
 from repro.vm.interpreter import ExecutionResult, VM
 
 ENTRY = "run_input"
+#: Symbols a corpus-driven build keeps external (never internalized).
+PRESERVED = ("main", ENTRY)
+
+
+def run_input(vm: VM, data: bytes) -> ExecutionResult:
+    """One execution under the corpus protocol every harness shares:
+    reset the VM, allocate the input plus a terminator byte, write it,
+    call ``run_input(addr, len)``."""
+    vm.reset()
+    addr = vm.alloc(max(len(data), 1) + 1)
+    vm.write_bytes(addr, data)
+    return vm.run(ENTRY, (addr, len(data)), reset=False)
 
 
 @dataclass
@@ -40,10 +52,7 @@ class Executor:
         raise NotImplementedError
 
     def _run_vm(self, vm: VM, data: bytes) -> ExecutionResult:
-        vm.reset()
-        addr = vm.alloc(max(len(data), 1) + 1)
-        vm.write_bytes(addr, data)
-        result = vm.run(ENTRY, (addr, len(data)), reset=False)
+        result = run_input(vm, data)
         self.executions += 1
         self.total_cycles += result.cycles
         return result

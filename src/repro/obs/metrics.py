@@ -6,9 +6,7 @@ thing as one JSON-serializable dict — the payload behind the
 ``repro serve --stats-json`` endpoint and ``repro stats``.
 
 Thread-safe; all components of a stack (engine stages, queue,
-dispatcher, workers, caches) share one registry.  ``ServiceMetrics`` is
-kept as an alias for backward compatibility (the registry started life
-in ``repro.service.metrics``).
+dispatcher, workers, caches) share one registry.
 
 Latency reservoirs are **deterministic and lifetime-representative**: a
 stride-doubling systematic sample.  The first ``MAX_SAMPLES``
@@ -175,10 +173,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.stats(), indent=indent, sort_keys=True)
-
-
-# Backward-compatible name: the registry began as the service's metrics.
-ServiceMetrics = MetricsRegistry
 
 
 def format_stats(stats: dict) -> str:

@@ -7,11 +7,7 @@ middle end, so the controller's toggles cost probe-site patches, not
 recompiles.
 """
 
-from repro.profile.controller import (
-    ProfileBudgetConfig,
-    ProfileOverheadController,
-    ProfileWindow,
-)
+from repro.profile.controller import ProfileOverheadController
 from repro.profile.probes import (
     PROF_ENTER_RUNTIME,
     PROF_EXIT_RUNTIME,
@@ -29,11 +25,9 @@ __all__ = [
     "PathNode",
     "ProfEnterProbe",
     "ProfExitProbe",
-    "ProfileBudgetConfig",
     "ProfileOverheadController",
     "ProfileReport",
     "ProfileRun",
-    "ProfileWindow",
     "Profiler",
     "ProfilingRuntime",
     "run_profile",

@@ -1,13 +1,14 @@
-"""Overhead-budget controller for profiling instrumentation.
+"""The profiling actuator behind the shared budget loop.
 
 The CaPI/Score-P problem (PAPERS.md) driven through Odin: full
 function-level profiling of a hot program can cost far more than a user
 is willing to pay, but a *static* instrumentation selection has to guess
-which symbols are hot.  This controller measures instead: it windows
-executions, attributes the window's probe overhead to symbols exactly
-(every prof event has a fixed cost-model price), and **de-instruments**
-the hottest symbols until the achieved slowdown sits inside the budget
-band — re-instrumenting cold ones if the budget frees up.
+which symbols are hot.  :class:`repro.budget.BudgetLoop` measures
+instead, window by window; at each close this actuator attributes the
+window's probe overhead to symbols exactly (every prof event has a fixed
+cost-model price) and **de-instruments** the hottest symbols until the
+projected slowdown sits inside the budget band — re-instrumenting cold
+ones if the budget frees up.
 
 Unlike :class:`repro.variants.controller.BudgetController`, which shifts
 a dispatch mix over co-resident variants, every actuation here is a pure
@@ -19,141 +20,47 @@ kept as evidence (:attr:`ProfileOverheadController.rebuilds`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List, Optional
 
+from repro.budget import BudgetConfig, BudgetLoop, BudgetWindow
 from repro.core.engine import RebuildReport, TIER_NOOP, TIER_PATCH
 from repro.obs.metrics import MetricsRegistry
+from repro.profile.runtime import PROF_ENTER_COST, PROF_EXIT_COST
 from repro.profile.tool import Profiler
-
-_EPS = 1e-9
 
 #: Tiers a pure probe-toggle rebuild is allowed to land on.
 TOGGLE_TIERS = frozenset({TIER_PATCH, TIER_NOOP})
 
 
-@dataclass(frozen=True)
-class ProfileBudgetConfig:
-    #: The budget: target fractional slowdown over the clean baseline.
-    target_overhead: float = 0.25
-    #: Executions per control window.
-    window: int = 30
-    #: Relative band around the target counting as converged.
-    tolerance: float = 0.25
-    #: Windows averaged when judging convergence.
-    convergence_windows: int = 3
-    #: Symbols the controller must never de-instrument (entry points).
-    protected: FrozenSet[str] = frozenset()
-    #: Cap on concurrently de-instrumented symbols (None = unlimited).
-    max_deinstrumented: Optional[int] = None
-
-    def __post_init__(self):
-        if self.target_overhead <= 0:
-            raise ValueError("target_overhead must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-
-    @property
-    def band(self) -> tuple:
-        """(lo, hi) overhead band the controller steers into."""
-        return (
-            self.target_overhead * (1.0 - self.tolerance),
-            self.target_overhead * (1.0 + self.tolerance),
-        )
-
-
-@dataclass
-class ProfileWindow:
-    """One closed control window."""
-
-    index: int
-    executions: int
-    achieved_overhead: float
-    deinstrumented: List[str]
-    reinstrumented: List[str]
-    rebuild_tier: Optional[str] = None
-
-    @property
-    def summary(self) -> str:
-        parts = [f"window {self.index}: overhead {self.achieved_overhead:+.3f}"]
-        if self.deinstrumented:
-            parts.append(f"deinstrumented {', '.join(self.deinstrumented)}")
-        if self.reinstrumented:
-            parts.append(f"reinstrumented {', '.join(self.reinstrumented)}")
-        if self.rebuild_tier:
-            parts.append(f"tier={self.rebuild_tier}")
-        return "; ".join(parts)
-
-
-class ProfileOverheadController:
+class ProfileOverheadController(BudgetLoop):
     """Toggles profiling probes per symbol to hold a target slowdown."""
+
+    prefix = "profile"
 
     def __init__(
         self,
         tool: Profiler,
-        config: Optional[ProfileBudgetConfig] = None,
+        config: Optional[BudgetConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
+        super().__init__(config, metrics)
         self.tool = tool
-        self.config = config if config is not None else ProfileBudgetConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.windows: List[ProfileWindow] = []
         #: Rebuild report of every actuation — the patch-tier evidence.
         self.rebuilds: List[RebuildReport] = []
         #: Symbol -> estimated overhead fraction it carried when flipped
         #: off (the re-instrumentation ranking reads this).
         self.deinstrumented: Dict[str, float] = {}
-        self.total_cycles = 0
-        self.total_baseline = 0
-        self._win_cycles = 0
-        self._win_baseline = 0
-        self._win_execs = 0
         # Snapshot of the runtime's lifetime per-symbol event ledger at
         # the last window boundary; deltas give this window's overhead.
         self._events_mark: Dict[str, List[int]] = {}
 
-    # -- feeding ----------------------------------------------------------------
-
-    def record_execution(self, cycles: int, baseline_cycles: int) -> None:
-        """Account one finished execution against the clean-baseline cost
-        of the same input."""
-        self.total_cycles += cycles
-        self.total_baseline += baseline_cycles
-        self._win_cycles += cycles
-        self._win_baseline += baseline_cycles
-        self._win_execs += 1
-        self.metrics.observe("profile.exec.cycles", float(cycles))
-        if self._win_execs >= self.config.window:
-            self._close_window()
-
     # -- read-backs -------------------------------------------------------------
 
-    @property
-    def achieved_overhead(self) -> float:
-        if not self.total_baseline:
-            return 0.0
-        return self.total_cycles / self.total_baseline - 1.0
-
-    @property
-    def converged(self) -> bool:
-        """Is the controller at a fixed point that satisfies the budget?
-
-        Either the recent-window mean overhead sits inside the tolerance
-        band, or it sits *below* the band floor with every symbol still
-        instrumented — a program whose full instrumentation is cheaper
-        than the budget has nothing left to converge toward.
-        """
-        k = self.config.convergence_windows
-        recent = self.windows[-k:]
-        if not recent:
-            return False
-        mean = sum(w.achieved_overhead for w in recent) / len(recent)
-        target = self.config.target_overhead
-        if abs(mean - target) <= self.config.tolerance * target:
-            return True
-        return mean < target and not self.deinstrumented
+    def _settled(self, mean: float) -> bool:
+        """Below target with every symbol still instrumented is a fixed
+        point too: a program whose full instrumentation is cheaper than
+        the budget has nothing left to converge toward."""
+        return mean < self.config.target_overhead and not self.deinstrumented
 
     @property
     def toggles_patch_only(self) -> bool:
@@ -169,8 +76,6 @@ class ProfileOverheadController:
     def _window_symbol_overheads(self) -> Dict[str, int]:
         """Probe-overhead cycles each symbol charged *this window*."""
         current: Dict[str, List[int]] = self.tool.runtime.symbol_events
-        from repro.profile.runtime import PROF_ENTER_COST, PROF_EXIT_COST
-
         out: Dict[str, int] = {}
         for symbol, (enters, exits) in current.items():
             m_enter, m_exit = self._events_mark.get(symbol, (0, 0))
@@ -182,40 +87,16 @@ class ProfileOverheadController:
                 out[symbol] = cyc
         return out
 
-    def _close_window(self) -> None:
-        cfg = self.config
-        achieved = (
-            self._win_cycles / self._win_baseline - 1.0
-            if self._win_baseline
-            else 0.0
-        )
-        lo, hi = cfg.band
-        self.metrics.set_gauge("profile.window.overhead", achieved)
-        self.metrics.set_gauge("profile.lifetime.overhead", self.achieved_overhead)
-        self.metrics.inc("profile.windows")
-
-        flipped_off: List[str] = []
-        flipped_on: List[str] = []
+    def _actuate(self, window: BudgetWindow) -> None:
+        lo, hi = self.config.band
+        achieved = window.achieved_overhead
         if achieved > hi:
-            flipped_off = self._deinstrument(achieved)
+            window.deinstrumented = self._deinstrument(achieved)
         elif achieved < lo and self.deinstrumented:
-            flipped_on = self._reinstrument(achieved)
-
-        tier = self._actuate(flipped_off, flipped_on)
-
-        self.windows.append(
-            ProfileWindow(
-                index=len(self.windows),
-                executions=self._win_execs,
-                achieved_overhead=achieved,
-                deinstrumented=flipped_off,
-                reinstrumented=flipped_on,
-                rebuild_tier=tier,
-            )
+            window.reinstrumented = self._reinstrument(achieved)
+        window.rebuild_tier = self._rebuild(
+            window.deinstrumented, window.reinstrumented
         )
-        self._win_cycles = 0
-        self._win_baseline = 0
-        self._win_execs = 0
         self._events_mark = {
             sym: list(ev) for sym, ev in self.tool.runtime.symbol_events.items()
         }
@@ -223,24 +104,18 @@ class ProfileOverheadController:
     def _deinstrument(self, achieved: float) -> List[str]:
         """Flip off the hottest symbols until the projected overhead is
         back inside the band (without undershooting its floor)."""
-        cfg = self.config
-        lo, hi = cfg.band
+        lo, hi = self.config.band
         if not self._win_baseline:
             return []
         overheads = self._window_symbol_overheads()
         est = {
             sym: cyc / self._win_baseline
             for sym, cyc in overheads.items()
-            if sym not in cfg.protected and sym not in self.deinstrumented
+            if sym not in self.config.protected and sym not in self.deinstrumented
         }
         flipped: List[str] = []
         projected = achieved
         while projected > hi and est:
-            if (
-                cfg.max_deinstrumented is not None
-                and len(self.deinstrumented) >= cfg.max_deinstrumented
-            ):
-                break
             # A single flip that lands at or below the ceiling finishes
             # the step: prefer the hottest one that stays inside the band,
             # else the one undershooting the least.  If no single flip
@@ -265,8 +140,7 @@ class ProfileOverheadController:
     def _reinstrument(self, achieved: float) -> List[str]:
         """Budget freed up: flip the coldest de-instrumented symbol back
         on, provided its estimated cost fits under the band ceiling."""
-        cfg = self.config
-        lo, hi = cfg.band
+        hi = self.config.band[1]
         ranked = sorted(
             self.deinstrumented, key=lambda s: (self.deinstrumented[s], s)
         )
@@ -286,7 +160,7 @@ class ProfileOverheadController:
             break  # one per window: conservative, avoids oscillation
         return flipped
 
-    def _actuate(
+    def _rebuild(
         self, flipped_off: List[str], flipped_on: List[str]
     ) -> Optional[str]:
         if not flipped_off and not flipped_on:

@@ -7,7 +7,8 @@
    input (what "no instrumentation" costs);
 2. build a fully instrumented engine — enter/exit probes on every
    defined function — under a :class:`~repro.profile.tool.Profiler`;
-3. run *executions* executions, feeding each cycle count to the
+3. run *executions* executions (:func:`repro.budget.replay`), feeding
+   each cycle count to the
    :class:`~repro.profile.controller.ProfileOverheadController`, which
    de-instruments hot symbols (pure patch-tier toggles) until the
    slowdown converges into the budget band;
@@ -19,21 +20,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from repro.budget import BudgetConfig, baseline_cycles, replay, seed_inputs
 from repro.core.engine import Odin
+from repro.fuzz.executor import PRESERVED
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.programs.registry import TargetProgram
-from repro.profile.controller import (
-    ProfileBudgetConfig,
-    ProfileOverheadController,
-)
+from repro.profile.controller import ProfileOverheadController
 from repro.profile.tool import Profiler
-from repro.vm.interpreter import VM
-
-ENTRY = "run_input"
-PRESERVED = ("main", "run_input")
 
 
 @dataclass
@@ -119,14 +115,6 @@ class ProfileRun:
     metrics: MetricsRegistry
 
 
-def _run_one(vm: VM, data: bytes):
-    """One execution using the corpus protocol shared with the fuzzer."""
-    vm.reset()
-    addr = vm.alloc(max(len(data), 1) + 1)
-    vm.write_bytes(addr, data)
-    return vm.run(ENTRY, (addr, len(data)), reset=False)
-
-
 def run_profile(
     program: TargetProgram,
     *,
@@ -135,24 +123,16 @@ def run_profile(
     seed: int = 1,
     window: int = 20,
     max_inputs: int = 4,
-    config: Optional[ProfileBudgetConfig] = None,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> ProfileRun:
     """Profile *program* under an overhead budget."""
-    inputs = program.seeds(seed)[:max_inputs]
-    if not inputs:
-        raise ValueError(f"program {program.name!r} has an empty seed corpus")
-
-    tracer = tracer if tracer is not None else Tracer()
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    inputs = seed_inputs(program, seed, max_inputs)
+    tracer = Tracer()
+    metrics = MetricsRegistry()
 
     # Clean baseline: an uninstrumented engine over the same module.
     clean = Odin(program.compile(), preserve=PRESERVED)
     clean.initial_build()
-    baseline: List[int] = []
-    for data in inputs:
-        baseline.append(_run_one(VM(clean.executable), data).cycles)
+    baseline = baseline_cycles(clean.executable, inputs)
 
     engine = Odin(program.compile(), preserve=PRESERVED, tracer=tracer)
     tool = Profiler(engine, metrics=metrics)
@@ -160,30 +140,17 @@ def run_profile(
     tool.build()
     controller = ProfileOverheadController(
         tool,
-        config
-        if config is not None
-        else ProfileBudgetConfig(
+        BudgetConfig(
             target_overhead=budget,
             window=window,
             protected=frozenset(PRESERVED),
         ),
         metrics=metrics,
     )
-
-    exe = engine.executable
-    vm = tool.make_vm()
-    baseline_total = 0
-    profiled_total = 0
-    for i in range(executions):
-        if engine.executable is not exe:
-            # The controller toggled probes and relinked mid-run.
-            exe = engine.executable
-            vm = tool.make_vm()
-        result = _run_one(vm, inputs[i % len(inputs)])
+    for result, base in replay(
+        inputs, baseline, executions, tool.make_vm, lambda: engine.executable
+    ):
         tool.runtime.finish_execution(result.cycles)
-        base = baseline[i % len(inputs)]
-        baseline_total += base
-        profiled_total += result.cycles
         controller.record_execution(result.cycles, base)
 
     # Final sync: runtime event counts -> probe.calls annotations; what
@@ -234,14 +201,10 @@ def run_profile(
         budget=budget,
         executions=executions,
         window=window,
-        baseline_cycles=baseline_total,
-        profiled_cycles=profiled_total,
+        baseline_cycles=controller.total_baseline,
+        profiled_cycles=controller.total_cycles,
         achieved_overhead=controller.achieved_overhead,
-        final_window_overhead=(
-            controller.windows[-1].achieved_overhead
-            if controller.windows
-            else None
-        ),
+        final_window_overhead=controller.last_window_overhead,
         converged=controller.converged,
         windows=len(controller.windows),
         probes_total=len(tool.probes),

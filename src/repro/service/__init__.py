@@ -18,13 +18,13 @@ in one, structured like an inference server:
   ``Odin.rebuild()`` directly.
 * observability — the shared :class:`repro.obs.metrics.MetricsRegistry`
   (queue depth, batch size, cache hit rate, per-stage latency
-  percentiles; ``repro.service.metrics`` keeps the old ``ServiceMetrics``
-  name as a re-export) and a shared :class:`repro.obs.tracer.Tracer`:
+  percentiles) and a shared :class:`repro.obs.tracer.Tracer`:
   every rebuild's span tree nests under the dispatcher's
   ``service.batch`` span, exportable with ``--trace-out`` /
   ``repro trace --service``.
 """
 
+from repro.obs.metrics import MetricsRegistry, format_stats
 from repro.service.cache import (
     InMemoryCodeCache,
     PersistentCodeCache,
@@ -39,7 +39,6 @@ from repro.service.jobs import (
     QueueFullError,
     ServiceReply,
 )
-from repro.service.metrics import ServiceMetrics, format_stats
 from repro.service.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -71,6 +70,7 @@ __all__ = [
     "MODE_PROCESS",
     "MODE_SERIAL",
     "MODE_THREAD",
+    "MetricsRegistry",
     "PersistentCodeCache",
     "ProbeOp",
     "QueueFullError",
@@ -78,7 +78,6 @@ __all__ = [
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",
-    "ServiceMetrics",
     "ServiceReply",
     "SupervisedCompiler",
     "WorkerCrashError",

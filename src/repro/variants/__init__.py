@@ -9,11 +9,7 @@ recompiles.
 """
 
 from repro.variants.builder import FamilyBuild, VariantBuilder
-from repro.variants.controller import (
-    BudgetController,
-    ControllerConfig,
-    WindowReport,
-)
+from repro.variants.controller import BudgetController
 from repro.variants.dispatch import (
     MODE_PER_CALL,
     MODE_PER_EXECUTION,
@@ -31,11 +27,10 @@ from repro.variants.spec import (
 )
 
 __all__ = [
-    "BudgetController", "CleanDispatchReport", "ControllerConfig",
+    "BudgetController", "CleanDispatchReport",
     "FAMILY_CLEAN", "FAMILY_COVERAGE", "FAMILY_SANITIZED", "FamilyBuild",
     "MODE_PER_CALL", "MODE_PER_EXECUTION",
     "PartisanReport", "PartisanRun",
     "VariantBuilder", "VariantFamily", "VariantSelector", "VariantSpec",
-    "WindowReport",
     "check_clean_dispatch", "default_spec", "run_partisan",
 ]

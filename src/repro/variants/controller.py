@@ -1,4 +1,4 @@
-"""The overhead-budget controller for partitioned sanitization.
+"""The PartiSan actuator behind the shared budget loop.
 
 Kreutzer et al.'s observation (PAPERS.md): a fixed sanitizer build either
 blows its overhead budget on hot code or wastes budget on cold code.
@@ -6,21 +6,21 @@ With co-resident variants the trade-off becomes a control problem: hold
 a **target slowdown** (e.g. "at most 25% over clean") while keeping as
 much sanitization live as the budget allows.
 
-The controller watches executions in windows.  At each window boundary:
+:class:`repro.budget.BudgetLoop` windows the executions and scores each
+window against the clean baseline; at every window close this actuator
 
-1. the achieved overhead (window cycles vs. the clean baseline's cycles
-   for the same inputs) is compared against the target;
-2. if the budget is blown, the hottest still-instrumented function whose
-   window call share clears ``hot_call_share`` is **de-instrumented**:
+1. if the window overhead is above the band ceiling, **de-instruments**
+   the hottest still-instrumented function whose window call share
+   clears :data:`HOT_CALL_SHARE` (at most half the dispatch table):
    pinned to the clean family *and* stripped of its probes via a
    fragment-level on-the-fly recompile
    (:meth:`~repro.variants.builder.VariantBuilder.deinstrument_symbol`) —
    Odin's §7 story, driven by a budget instead of a fuzzer;
-3. the dispatch mix is rescaled multiplicatively: instrumented families'
-   weights move by ``target / achieved`` (clamped for stability), the
-   clean family absorbs the remainder.  Instrumented weights are floored
-   at ``min_instrumented_weight`` so cold-path sanitization never
-   switches off entirely.
+2. rescales the dispatch mix multiplicatively: instrumented families'
+   weights move by ``(target / achieved) ** GAIN`` (clamped for
+   stability), the clean family absorbs the remainder.  Instrumented
+   weights are floored at :data:`MIN_INSTRUMENTED_WEIGHT` so cold-path
+   sanitization never switches off entirely.
 
 Costs and decisions flow through a
 :class:`~repro.obs.metrics.MetricsRegistry`: per-family cycle ratios are
@@ -31,151 +31,56 @@ machinery every other subsystem here reports through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, Optional
 
+from repro.budget import BudgetConfig, BudgetLoop, BudgetWindow
 from repro.obs.metrics import MetricsRegistry
 from repro.variants.builder import VariantBuilder
 from repro.variants.dispatch import VariantSelector
 
 _EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    #: The budget: target fractional slowdown over the clean baseline.
-    target_overhead: float = 0.25
-    #: Executions per control window.
-    window: int = 30
-    #: Relative band around the target counting as converged.
-    tolerance: float = 0.25
-    #: Windows averaged when judging convergence (one window of a
-    #: stochastic mix is far too noisy to score on).
-    convergence_windows: int = 3
-    #: Exponent damping the multiplicative mix step: 1.0 jumps straight
-    #: to ``target/achieved`` (oscillates on noisy windows), 0.5 takes a
-    #: half-step in log space.
-    gain: float = 0.5
-    #: Per-window clamp on the multiplicative mix step (stability).
-    min_scale: float = 0.5
-    max_scale: float = 2.0
-    #: Instrumented families never drop below this normalized weight —
-    #: cold-path sanitization stays always-on.
-    min_instrumented_weight: float = 0.01
-    #: ... and never crowd the clean family out entirely.
-    max_instrumented_weight: float = 0.95
-    #: Minimum share of a window's calls a function needs before it is
-    #: hot enough to de-instrument.
-    hot_call_share: float = 0.25
-    #: Cap on de-instrumented functions (None = half the dispatch table).
-    max_deinstrumented: Optional[int] = None
-    #: Functions the controller must never de-instrument — typically the
-    #: entry points: monolithic programs inline everything into them, and
-    #: stripping the entry would switch sanitization off wholesale.
-    protected: FrozenSet[str] = frozenset()
-
-    def __post_init__(self):
-        if self.target_overhead <= 0:
-            raise ValueError("target_overhead must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if not 0.0 < self.hot_call_share <= 1.0:
-            raise ValueError("hot_call_share must be in (0, 1]")
+#: Exponent damping the multiplicative mix step: 1.0 jumps straight to
+#: ``target/achieved`` (oscillates on noisy windows), 0.5 takes a
+#: half-step in log space.
+GAIN = 0.5
+#: Per-window clamp on the multiplicative mix step (stability).
+MIN_SCALE = 0.5
+MAX_SCALE = 2.0
+#: Instrumented families never drop below this normalized weight —
+#: cold-path sanitization stays always-on.
+MIN_INSTRUMENTED_WEIGHT = 0.01
+#: ... and never crowd the clean family out entirely.
+MAX_INSTRUMENTED_WEIGHT = 0.95
+#: Minimum share of a window's calls a function needs before it is hot
+#: enough to de-instrument.
+HOT_CALL_SHARE = 0.25
 
 
-@dataclass
-class WindowReport:
-    """One closed control window."""
-
-    index: int
-    executions: int
-    achieved_overhead: float
-    mix: Dict[str, float]
-    deinstrumented: Optional[str] = None
-
-    @property
-    def summary(self) -> str:
-        extra = f", deinstrumented {self.deinstrumented}" if self.deinstrumented else ""
-        return (
-            f"window {self.index}: overhead {self.achieved_overhead:+.3f}"
-            f", mix {{{', '.join(f'{k}={v:.2f}' for k, v in self.mix.items())}}}"
-            f"{extra}"
-        )
-
-
-class BudgetController:
+class BudgetController(BudgetLoop):
     """Shifts the variant mix to hold a target slowdown."""
+
+    prefix = "partisan"
 
     def __init__(
         self,
         builder: VariantBuilder,
         selector: VariantSelector,
-        config: Optional[ControllerConfig] = None,
+        config: Optional[BudgetConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
+        super().__init__(config, metrics)
         self.builder = builder
         self.selector = selector
-        self.config = config if config is not None else ControllerConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.windows: List[WindowReport] = []
-        self.total_cycles = 0
-        self.total_baseline = 0
-        self._win_cycles = 0
-        self._win_baseline = 0
-        self._win_execs = 0
         self._fn_calls_mark: Dict[str, int] = {}
         self._publish_mix()
 
-    # -- feeding ----------------------------------------------------------------
-
-    def record_execution(
-        self, cycles: int, baseline_cycles: int, family: Optional[str] = None
-    ) -> None:
-        """Account one finished execution; *baseline_cycles* is the clean
-        standalone cost of the same input.  *family* (per-execution mode)
-        attributes the cost to one variant for the per-variant estimate.
-        """
-        self.total_cycles += cycles
-        self.total_baseline += baseline_cycles
-        self._win_cycles += cycles
-        self._win_baseline += baseline_cycles
-        self._win_execs += 1
-        self.metrics.observe("partisan.exec.cycles", float(cycles))
-        if family is not None and baseline_cycles > 0:
-            self.metrics.observe(
-                f"partisan.cost.{family}", cycles / baseline_cycles
-            )
-        if self._win_execs >= self.config.window:
-            self._close_window()
-
     # -- read-backs -------------------------------------------------------------
-
-    @property
-    def achieved_overhead(self) -> float:
-        """Lifetime fractional slowdown vs. the clean baseline."""
-        if not self.total_baseline:
-            return 0.0
-        return self.total_cycles / self.total_baseline - 1.0
-
-    @property
-    def last_window_overhead(self) -> Optional[float]:
-        return self.windows[-1].achieved_overhead if self.windows else None
-
-    @property
-    def converged(self) -> bool:
-        """Is the recent-window mean overhead inside the tolerance band?"""
-        k = self.config.convergence_windows
-        recent = self.windows[-k:]
-        if not recent:
-            return False
-        mean = sum(w.achieved_overhead for w in recent) / len(recent)
-        target = self.config.target_overhead
-        return abs(mean - target) <= self.config.tolerance * target
 
     def family_cost(self, family: str) -> Optional[float]:
         """Mean cycles-over-baseline ratio observed for *family* — the
         per-variant cost, read back from the metrics registry."""
-        stat = self.metrics.latency(f"partisan.cost.{family}")
+        stat = self.metrics.latency(f"{self.prefix}.cost.{family}")
         if not stat.count:
             return None
         return stat.total_ms / stat.count
@@ -189,46 +94,21 @@ class BudgetController:
 
     # -- the control step -------------------------------------------------------
 
-    def _close_window(self) -> None:
-        cfg = self.config
-        achieved = (
-            self._win_cycles / self._win_baseline - 1.0
-            if self._win_baseline
-            else 0.0
-        )
-        self.metrics.set_gauge("partisan.window.overhead", achieved)
-        self.metrics.set_gauge("partisan.lifetime.overhead", self.achieved_overhead)
-        self.metrics.inc("partisan.windows")
-
-        deinstrumented = None
-        if achieved > cfg.target_overhead * (1.0 + cfg.tolerance):
-            deinstrumented = self._maybe_deinstrument()
-        self._rescale_mix(achieved)
-
-        self.windows.append(
-            WindowReport(
-                index=len(self.windows),
-                executions=self._win_execs,
-                achieved_overhead=achieved,
-                mix=dict(self.selector.mix),
-                deinstrumented=deinstrumented,
-            )
-        )
-        self._win_cycles = 0
-        self._win_baseline = 0
-        self._win_execs = 0
+    def _actuate(self, window: BudgetWindow) -> None:
+        if window.achieved_overhead > self.config.band[1]:
+            name = self._maybe_deinstrument()
+            if name is not None:
+                window.deinstrumented.append(name)
+        self._rescale_mix(window.achieved_overhead)
+        window.mix = dict(self.selector.mix)
         self._fn_calls_mark = dict(self.selector.function_calls)
 
-    def _deinstrument_cap(self) -> int:
-        if self.config.max_deinstrumented is not None:
-            return self.config.max_deinstrumented
+    def _maybe_deinstrument(self) -> Optional[str]:
+        """Pin the hottest eligible function to clean and strip its probes,
+        while fewer than half the dispatch table is de-instrumented."""
         exe = self.builder.executable
         table = len(exe.variant_index) if exe is not None else 0
-        return max(1, table // 2)
-
-    def _maybe_deinstrument(self) -> Optional[str]:
-        """Pin the hottest eligible function to clean and strip its probes."""
-        if len(self.builder.deinstrumented) >= self._deinstrument_cap():
+        if len(self.builder.deinstrumented) >= max(1, table // 2):
             return None
         window_calls = {
             name: count - self._fn_calls_mark.get(name, 0)
@@ -241,7 +121,7 @@ class BudgetController:
         for name in sorted(
             window_calls, key=lambda n: (-window_calls[n], n)
         ):
-            if window_calls[name] / total < self.config.hot_call_share:
+            if window_calls[name] / total < HOT_CALL_SHARE:
                 break  # sorted descending: nothing below is hot either
             if name in self.config.protected:
                 continue
@@ -260,7 +140,6 @@ class BudgetController:
         return None
 
     def _rescale_mix(self, achieved: float) -> None:
-        cfg = self.config
         mix = dict(self.selector.mix)  # normalized by the selector
         instrumented = [
             f.name
@@ -270,17 +149,17 @@ class BudgetController:
         plain = [name for name in mix if name not in instrumented]
         if not instrumented or not plain:
             return
-        scale = (cfg.target_overhead / max(achieved, _EPS)) ** cfg.gain
-        scale = min(max(scale, cfg.min_scale), cfg.max_scale)
+        scale = (self.config.target_overhead / max(achieved, _EPS)) ** GAIN
+        scale = min(max(scale, MIN_SCALE), MAX_SCALE)
         new_inst = {
-            name: max(mix[name] * scale, cfg.min_instrumented_weight)
+            name: max(mix[name] * scale, MIN_INSTRUMENTED_WEIGHT)
             for name in instrumented
         }
         inst_total = sum(new_inst.values())
-        if inst_total > cfg.max_instrumented_weight:
-            shrink = cfg.max_instrumented_weight / inst_total
+        if inst_total > MAX_INSTRUMENTED_WEIGHT:
+            shrink = MAX_INSTRUMENTED_WEIGHT / inst_total
             new_inst = {name: w * shrink for name, w in new_inst.items()}
-            inst_total = cfg.max_instrumented_weight
+            inst_total = MAX_INSTRUMENTED_WEIGHT
         # The plain (clean) families split the remainder, keeping their
         # relative proportions.
         plain_total = sum(mix[name] for name in plain)

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.engine import Odin
+from repro.fuzz.executor import PRESERVED, run_input
 from repro.programs.registry import TargetProgram
 from repro.variants.builder import VariantBuilder
 from repro.variants.dispatch import MODE_PER_CALL, VariantSelector
-from repro.variants.runner import ENTRY, PRESERVED, _run_one
 from repro.vm.interpreter import VM
 
 
@@ -91,9 +91,9 @@ def check_clean_dispatch(
             {builder.spec.default: 1.0}, seed=seed, mode=MODE_PER_CALL
         )
         for data in inputs:
-            base = _run_one(VM(baseline.executable), data)
+            base = run_input(VM(baseline.executable), data)
             vm = builder.make_vm(selector=selector, dispatch_tax=0)
-            routed = _run_one(vm, data)
+            routed = run_input(vm, data)
             for name in ("exit_code", "stdout", "trap", "cycles"):
                 a = getattr(base, name)
                 b = getattr(routed, name)

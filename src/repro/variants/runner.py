@@ -5,10 +5,11 @@
 
 1. build every family of the spec into one merged image;
 2. measure the clean standalone baseline over the seed corpus;
-3. run *executions* dispatched executions, feeding each one's cycle
-   count to the :class:`~repro.variants.controller.BudgetController`;
+3. run *executions* dispatched executions
+   (:func:`repro.budget.replay`), feeding each one's cycle count to the
+   :class:`~repro.variants.controller.BudgetController`;
 4. whenever the controller de-instruments a hot function the merged
-   image is relinked — the runner notices and rebuilds its VM;
+   image is relinked — the next execution runs on a new VM;
 5. fold everything into a :class:`PartisanReport`: per-variant execution
    shares, achieved overhead vs. the budget, de-instrumented symbols,
    recorded sanitizer findings.
@@ -16,9 +17,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.budget import BudgetConfig, baseline_cycles, replay, seed_inputs
+from repro.fuzz.executor import PRESERVED
 from repro.instrument.asan import ASanRuntime
 from repro.instrument.coverage import CoverageRuntime
 from repro.instrument.ubsan import UBSanRuntime
@@ -26,17 +29,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.programs.registry import TargetProgram
 from repro.variants.builder import VariantBuilder
-from repro.variants.controller import BudgetController, ControllerConfig
-from repro.variants.dispatch import (
-    MODE_PER_CALL,
-    MODE_PER_EXECUTION,
-    VariantSelector,
-)
-from repro.variants.spec import VariantSpec
-from repro.vm.interpreter import VM
-
-ENTRY = "run_input"
-PRESERVED = ("main", "run_input")
+from repro.variants.controller import BudgetController
+from repro.variants.dispatch import MODE_PER_EXECUTION, VariantSelector
 
 
 @dataclass
@@ -119,14 +113,6 @@ class PartisanRun:
     metrics: MetricsRegistry
 
 
-def _run_one(vm: VM, data: bytes):
-    """One execution using the corpus protocol shared with the fuzzer."""
-    vm.reset()
-    addr = vm.alloc(max(len(data), 1) + 1)
-    vm.write_bytes(addr, data)
-    return vm.run(ENTRY, (addr, len(data)), reset=False)
-
-
 def _collect_findings(builder: VariantBuilder) -> Dict[str, int]:
     findings = {"asan_violations": 0, "ubsan_fires": 0, "coverage_blocks": 0}
     for fb in builder.builds.values():
@@ -151,35 +137,18 @@ def run_partisan(
     window: int = 30,
     dispatch_tax: int = 0,
     max_inputs: int = 4,
-    spec: Optional[VariantSpec] = None,
-    config: Optional[ControllerConfig] = None,
-    trap: bool = False,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> PartisanRun:
     """Run *program* under a variant mix held to an overhead budget."""
-    inputs = program.seeds(seed)[:max_inputs]
-    if not inputs:
-        raise ValueError(f"program {program.name!r} has an empty seed corpus")
-
-    tracer = tracer if tracer is not None else Tracer()
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    builder = VariantBuilder(
-        program.compile,
-        spec=spec,
-        preserve=PRESERVED,
-        trap=trap,
-        tracer=tracer,
-    )
+    inputs = seed_inputs(program, seed, max_inputs)
+    tracer = Tracer()
+    builder = VariantBuilder(program.compile, preserve=PRESERVED, tracer=tracer)
     builder.build()
 
     # Clean standalone baseline: the default family's own image, no
     # dispatch, no probe runtimes — what "no instrumentation" costs.
-    clean_exe = builder.build_for(builder.spec.default).engine.executable
-    baseline: List[int] = []
-    for data in inputs:
-        result = _run_one(VM(clean_exe), data)
-        baseline.append(result.cycles)
+    baseline = baseline_cycles(
+        builder.build_for(builder.spec.default).engine.executable, inputs
+    )
 
     selector = VariantSelector(
         builder.spec.initial_mix(), seed=seed, mode=mode
@@ -187,33 +156,24 @@ def run_partisan(
     controller = BudgetController(
         builder,
         selector,
-        config
-        if config is not None
-        else ControllerConfig(
+        BudgetConfig(
             target_overhead=budget,
             window=window,
             protected=frozenset(PRESERVED),
         ),
-        metrics=metrics,
     )
-
-    vm = builder.make_vm(selector=selector, dispatch_tax=dispatch_tax)
-    baseline_total = 0
-    dispatched_total = 0
-    for i in range(executions):
-        if vm.exe is not builder.executable:
-            # The controller de-instrumented and relinked mid-run.
-            vm = builder.make_vm(selector=selector, dispatch_tax=dispatch_tax)
-        data = inputs[i % len(inputs)]
-        result = _run_one(vm, data)
+    for result, base in replay(
+        inputs,
+        baseline,
+        executions,
+        lambda: builder.make_vm(selector=selector, dispatch_tax=dispatch_tax),
+        lambda: builder.executable,
+    ):
         family = (
             selector.last_execution_family
             if mode == MODE_PER_EXECUTION
             else None
         )
-        base = baseline[i % len(inputs)]
-        baseline_total += base
-        dispatched_total += result.cycles
         controller.record_execution(result.cycles, base, family)
 
     probes = {
@@ -232,8 +192,8 @@ def run_partisan(
         budget=budget,
         executions=executions,
         dispatch_tax=dispatch_tax,
-        baseline_cycles=baseline_total,
-        dispatched_cycles=dispatched_total,
+        baseline_cycles=controller.total_baseline,
+        dispatched_cycles=controller.total_cycles,
         achieved_overhead=controller.achieved_overhead,
         final_window_overhead=controller.last_window_overhead,
         converged=controller.converged,
@@ -254,5 +214,5 @@ def run_partisan(
         selector=selector,
         controller=controller,
         tracer=tracer,
-        metrics=metrics,
+        metrics=controller.metrics,
     )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.check.oracle import PRESERVED
 from repro.cluster import (
     ClusterError,
     CompileCluster,
@@ -10,6 +9,7 @@ from repro.cluster import (
     TenantSpec,
     TIER_BULK,
 )
+from repro.fuzz.executor import PRESERVED
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import get_program
 

@@ -111,11 +111,3 @@ class TestMetricsRegistry:
         m.observe("x", 10.0)
         assert m.latency("x").count == 1
         assert m.latency("fresh").count == 0
-
-    def test_service_metrics_shim(self):
-        """The historical import path keeps working."""
-        from repro.service.metrics import LatencyStat as ShimStat
-        from repro.service.metrics import ServiceMetrics
-
-        assert ServiceMetrics is MetricsRegistry
-        assert ShimStat is LatencyStat

@@ -1,11 +1,9 @@
 """ProfileOverheadController: windowed budget control over probe toggles."""
 
+from repro.budget import BudgetConfig
 from repro.core.engine import Odin
 from repro.ir.parser import parse_module
-from repro.profile.controller import (
-    ProfileBudgetConfig,
-    ProfileOverheadController,
-)
+from repro.profile.controller import ProfileOverheadController
 from repro.profile.runtime import PROF_ENTER_COST, PROF_EXIT_COST
 from repro.profile.tool import Profiler
 
@@ -42,7 +40,7 @@ def make_controller(config=None):
         tool,
         config
         if config is not None
-        else ProfileBudgetConfig(
+        else BudgetConfig(
             target_overhead=0.25, window=4, protected=frozenset({"main"})
         ),
     )
@@ -189,7 +187,7 @@ class TestConvergence:
 
     def test_not_converged_above_band(self):
         tool, controller = make_controller(
-            ProfileBudgetConfig(
+            BudgetConfig(
                 target_overhead=0.25,
                 window=4,
                 protected=frozenset({"main", "hot", "warm"}),

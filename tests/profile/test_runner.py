@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.profile import ProfileBudgetConfig, run_profile
+from repro.profile import run_profile
 from repro.programs.registry import get_program
 
 
@@ -73,14 +73,13 @@ class TestRunProfile:
     def test_custom_config_respected(self):
         run = run_profile(
             get_program("lcms"),
+            budget=5.0,  # huge budget: nothing to remove
             executions=40,
             window=10,
-            config=ProfileBudgetConfig(
-                target_overhead=5.0,  # huge budget: nothing to remove
-                window=10,
-                protected=frozenset({"main", "run_input"}),
-            ),
         )
+        assert run.report.budget == 5.0
+        assert "vs budget +5.000" in run.report.summary()
+        assert run.report.windows == 4
         assert not run.report.deinstrumented
         assert run.report.probes_enabled == run.report.probes_total
         assert run.report.converged  # under the floor, fully instrumented

@@ -5,7 +5,7 @@ import pytest
 
 from repro.programs.registry import get_program
 from repro.variants.builder import VariantBuilder
-from repro.variants.runner import PRESERVED
+from repro.fuzz.executor import PRESERVED
 
 
 @pytest.fixture(scope="session")

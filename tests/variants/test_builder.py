@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.engine import Odin
 from repro.errors import LinkError
+from repro.fuzz.executor import PRESERVED, run_input
 from repro.linker.variants import VariantExecutable, link_variants
 from repro.programs.registry import get_program
 from repro.variants.builder import VariantBuilder
 from repro.variants.dispatch import VariantSelector
-from repro.variants.runner import ENTRY, PRESERVED, _run_one
 from repro.variants.spec import FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED
 from repro.vm.interpreter import VM, VMError
 
@@ -65,13 +65,13 @@ class TestExecution:
         self, json_builder, json_program
     ):
         data = json_program.seeds(0)[0]
-        clean = _run_one(
+        clean = run_input(
             json_builder.make_vm(
                 selector=VariantSelector({FAMILY_CLEAN: 1.0})
             ),
             data,
         )
-        sanitized = _run_one(
+        sanitized = run_input(
             json_builder.make_vm(
                 selector=VariantSelector({FAMILY_SANITIZED: 1.0})
             ),
@@ -85,8 +85,8 @@ class TestExecution:
     def test_dispatch_tax_charges_per_call(self, json_builder, json_program):
         data = json_program.seeds(0)[0]
         selector = VariantSelector({FAMILY_CLEAN: 1.0})
-        base = _run_one(json_builder.make_vm(selector=selector), data)
-        taxed = _run_one(
+        base = run_input(json_builder.make_vm(selector=selector), data)
+        taxed = run_input(
             json_builder.make_vm(
                 selector=VariantSelector({FAMILY_CLEAN: 1.0}),
                 dispatch_tax=5,
@@ -165,11 +165,11 @@ class TestDeinstrumentation:
     ):
         data = json_program.seeds(0)[0]
         sanitized_mix = {FAMILY_SANITIZED: 1.0}
-        before = _run_one(
+        before = run_input(
             builder.make_vm(selector=VariantSelector(sanitized_mix)), data
         )
         builder.deinstrument_symbol("parse_object")
-        after = _run_one(
+        after = run_input(
             builder.make_vm(selector=VariantSelector(sanitized_mix)), data
         )
         assert after.exit_code == before.exit_code

@@ -2,23 +2,21 @@
 
 import pytest
 
+from repro.budget import CONVERGENCE_WINDOWS, BudgetConfig
+from repro.fuzz.executor import PRESERVED
 from repro.obs.metrics import MetricsRegistry
-from repro.programs.registry import get_program
 from repro.variants.builder import VariantBuilder
-from repro.variants.controller import BudgetController, ControllerConfig
+from repro.variants.controller import HOT_CALL_SHARE, BudgetController
 from repro.variants.dispatch import VariantSelector
-from repro.variants.runner import PRESERVED
 from repro.variants.spec import FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED
 
 
-def make_controller(json_builder, **cfg):
+def make_controller(json_builder):
     selector = VariantSelector(json_builder.spec.initial_mix(), seed=1)
-    defaults = dict(target_overhead=0.25, window=5, protected=frozenset(PRESERVED))
-    defaults.update(cfg)
-    controller = BudgetController(
-        json_builder, selector, ControllerConfig(**defaults)
+    config = BudgetConfig(
+        target_overhead=0.25, window=5, protected=frozenset(PRESERVED)
     )
-    return selector, controller
+    return selector, BudgetController(json_builder, selector, config)
 
 
 def feed_window(controller, overhead, *, baseline=1000, calls=None):
@@ -38,13 +36,11 @@ class TestConfigValidation:
             {"target_overhead": 0.0},
             {"target_overhead": -0.5},
             {"window": 0},
-            {"hot_call_share": 0.0},
-            {"hot_call_share": 1.5},
         ],
     )
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ValueError):
-            ControllerConfig(**bad)
+            BudgetConfig(**bad)
 
 
 class TestMixControl:
@@ -79,10 +75,12 @@ class TestMixControl:
             assert abs(sum(selector.mix.values()) - 1.0) < 1e-9
 
     def test_convergence_judged_on_recent_windows(self, json_builder):
-        _, controller = make_controller(json_builder, convergence_windows=2)
+        _, controller = make_controller(json_builder)
         feed_window(controller, overhead=2.0)
         assert not controller.converged
-        feed_window(controller, overhead=0.25)
+        for _ in range(CONVERGENCE_WINDOWS - 1):
+            feed_window(controller, overhead=0.25)
+        assert not controller.converged  # the 2.0 window is still recent
         feed_window(controller, overhead=0.25)
         assert controller.converged
         assert controller.last_window_overhead == pytest.approx(0.25)
@@ -100,7 +98,7 @@ class TestDeinstrumentation:
         )
         assert builder.deinstrumented == ["parse_object"]
         assert selector.pinned["parse_object"] == FAMILY_CLEAN
-        assert controller.windows[-1].deinstrumented == "parse_object"
+        assert controller.windows[-1].deinstrumented == ["parse_object"]
         assert controller.metrics.counter("partisan.deinstrumented") == 1
         assert controller.metrics.counter("partisan.probes.flipped") > 0
         # The recompile is visible in the shared span tree.
@@ -122,13 +120,14 @@ class TestDeinstrumentation:
     def test_cold_functions_are_not_deinstrumented(self, json_program):
         builder = VariantBuilder(json_program.compile, preserve=PRESERVED)
         builder.build()
-        _, controller = make_controller(builder, hot_call_share=0.5)
-        # Calls spread evenly: nobody clears the 50% hotness bar.
+        _, controller = make_controller(builder)
+        # Calls spread evenly: nobody clears the 25% hotness bar.
+        assert HOT_CALL_SHARE > 0.20
         feed_window(
             controller,
             overhead=2.0,
-            calls={"parse_object": 25, "parse_array": 25, "skip_ws": 25,
-                   "peek": 25},
+            calls={"parse_object": 20, "parse_array": 20, "parse_string": 20,
+                   "skip_ws": 20, "peek": 20},
         )
         assert builder.deinstrumented == []
 
@@ -140,12 +139,18 @@ class TestDeinstrumentation:
         assert builder.deinstrumented == []
 
     def test_cap_limits_deinstrumentation(self, json_program):
+        # The cap is half the dispatch table: json's has 10 entries, so
+        # the sixth hot function in a row stays instrumented.
         builder = VariantBuilder(json_program.compile, preserve=PRESERVED)
         builder.build()
-        _, controller = make_controller(builder, max_deinstrumented=1)
-        feed_window(controller, overhead=2.0, calls={"parse_object": 100})
-        feed_window(controller, overhead=2.0, calls={"parse_array": 100})
-        assert builder.deinstrumented == ["parse_object"]
+        assert len(builder.executable.variant_index) == 10
+        _, controller = make_controller(builder)
+        hot = ["parse_object", "parse_array", "parse_value", "parse_string",
+               "parse_number", "skip_ws"]
+        for name in hot:
+            feed_window(controller, overhead=2.0, calls={name: 100})
+        assert builder.deinstrumented == hot[:5]
+        assert controller.windows[-1].deinstrumented == []
 
 
 class TestMetrics:
@@ -155,7 +160,7 @@ class TestMetrics:
         controller = BudgetController(
             json_builder,
             selector,
-            ControllerConfig(target_overhead=0.25, window=10),
+            BudgetConfig(target_overhead=0.25, window=10),
             metrics=metrics,
         )
         for _ in range(5):

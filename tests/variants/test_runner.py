@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.engine import Odin
+from repro.fuzz.executor import PRESERVED, run_input
 from repro.instrument.asan import ASanTool
 from repro.instrument.ubsan import UBSanTool
 from repro.programs.registry import get_program
 from repro.variants.oracle import check_clean_dispatch
-from repro.variants.runner import PRESERVED, run_partisan
+from repro.variants.runner import run_partisan
 
 
 class TestRunPartisan:
@@ -117,9 +118,5 @@ class TestInstrumentRegressions:
         ubsan.add_all_overflow_probes()
         asan.build()
         vm = asan.make_vm(extra_runtime=ubsan.runtime)
-        data = json_program.seeds(0)[0]
-        vm.reset()
-        addr = vm.alloc(max(len(data), 1) + 1)
-        vm.write_bytes(addr, data)
-        result = vm.run("run_input", (addr, len(data)), reset=False)
+        result = run_input(vm, json_program.seeds(0)[0])
         assert result.trap is None
