@@ -9,7 +9,17 @@ FuzzyFlow's cutout-based differential testing of program transformations:
   schedules (enable/disable/remove/prune sequences, seeded RNG);
 * :mod:`repro.check.oracle` — replays each schedule incrementally (engine
   or recompilation service) and from scratch, asserting object-byte,
-  linked-image and behavioural equivalence over a seed corpus;
+  linked-image and behavioural equivalence over a seed corpus
+  (``diff_engines``, the one three-layer diff every replayer uses);
+* :mod:`repro.check.tiers` — replays each schedule through the patch,
+  memo and full recompile tiers side by side and diffs the fast tiers
+  against the full path (``repro check --tiers``);
+* :mod:`repro.check.chaos` — replays per-campaign schedules under seeded
+  faults against one of two targets, the supervised service (worker
+  crash/hang, cache corruption, dispatcher restart, expired deadlines)
+  or the sharded cluster (shard kill/hang, router partition), and judges
+  every campaign's final state with the oracle (``repro chaos``,
+  ``repro cluster``);
 * :mod:`repro.check.faults` — injects persistent-cache faults (truncated
   objects, torn writes, corrupt/stale index) and asserts every fault
   degrades to a cache miss, never to wrong code;
@@ -24,9 +34,11 @@ from repro.check.chaos import (
     ChaosReport,
     ChaosRunner,
     ChaosSchedule,
+    ClusterChaos,
     FaultEvent,
+    ServiceChaos,
     generate_chaos_schedules,
-    run_chaos,
+    generate_cluster_chaos_schedules,
 )
 from repro.check.faults import run_fault_checks
 from repro.check.invariants import (
@@ -64,6 +76,7 @@ __all__ = [
     "ChaosRunner",
     "ChaosSchedule",
     "CheckReport",
+    "ClusterChaos",
     "DifferentialOracle",
     "FAULT_KINDS",
     "FaultEvent",
@@ -76,6 +89,7 @@ __all__ = [
     "STEP_REMOVE",
     "ScheduleOutcome",
     "ScheduleStep",
+    "ServiceChaos",
     "StepOutcome",
     "TierScheduleOutcome",
     "TierStepOutcome",
@@ -84,9 +98,9 @@ __all__ = [
     "check_backpropagation",
     "check_content_key_determinism",
     "generate_chaos_schedules",
+    "generate_cluster_chaos_schedules",
     "generate_schedules",
     "pick_targets",
-    "run_chaos",
     "run_fault_checks",
     "run_invariant_checks",
 ]

@@ -24,7 +24,7 @@ exposed it, which is what makes the report actionable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.engine import Odin
 from repro.check.schedules import (
@@ -33,18 +33,26 @@ from repro.check.schedules import (
     STEP_PRUNE,
     STEP_REMOVE,
     ProbeSchedule,
-    pick_targets,
+    pick_step,
 )
 from repro.fuzz.executor import PRESERVED, OdinCovExecutor, run_input
 from repro.instrument.coverage import CoverageRuntime, OdinCov
 from repro.linker.linker import Executable
 from repro.programs.registry import TargetProgram
+from repro.service.jobs import OP_DISABLE, OP_ENABLE, OP_REMOVE, ProbeOp
 from repro.utils.rng import DeterministicRNG
 from repro.vm.interpreter import VM
 
 #: (exit code, stdout, trap, cycles, covered probe ids) of one input.
 Behaviour = Tuple[int, bytes, Optional[str], int, FrozenSet[int]]
 BEHAVIOUR_FIELDS = ("exit_code", "stdout", "trap", "cycles", "coverage")
+
+#: Schedule step kind -> the service's probe-op kind.
+STEP_OPS = {
+    STEP_DISABLE: OP_DISABLE,
+    STEP_ENABLE: OP_ENABLE,
+    STEP_REMOVE: OP_REMOVE,
+}
 
 
 def run_with_coverage(executable: Optional[Executable], data: bytes) -> Behaviour:
@@ -55,6 +63,51 @@ def run_with_coverage(executable: Optional[Executable], data: bytes) -> Behaviou
     result = run_input(VM(executable, probe_runtime=runtime), data)
     covered = frozenset(pid for pid, hits in runtime.counters.items() if hits)
     return (result.exit_code, result.stdout, result.trap, result.cycles, covered)
+
+
+def diff_engines(
+    engine: Odin, reference: Odin, inputs: Sequence[bytes], against: str
+) -> List[str]:
+    """Diff *engine* against *reference* layer by layer.
+
+    Fragment set, then each fragment's object bytes, the linked image,
+    and the behaviour of every input; *against* names the reference in
+    the mismatch text.  A differing fragment set ends the diff: the
+    deeper layers cannot line up.
+    """
+    objs = engine.object_fingerprints()
+    ref_objs = reference.object_fingerprints()
+    if set(objs) != set(ref_objs):
+        return [
+            f"linked fragment set differs from {against} "
+            f"({sorted(objs)} != {sorted(ref_objs)})"
+        ]
+    mismatches = [
+        f"fragment #{fid} object bytes differ "
+        f"({objs[fid][:12]} vs {against} {ref_objs[fid][:12]})"
+        for fid in sorted(ref_objs)
+        if objs[fid] != ref_objs[fid]
+    ]
+    exe_fp = engine.executable_fingerprint()
+    ref_fp = reference.executable_fingerprint()
+    if exe_fp != ref_fp:
+        mismatches.append(
+            f"linked image differs ({str(exe_fp)[:12]} vs {against} "
+            f"{str(ref_fp)[:12]})"
+        )
+    if engine.executable is None or reference.executable is None:
+        mismatches.append("an engine has no executable to compare")
+        return mismatches
+    for data in inputs:
+        got = run_with_coverage(engine.executable, data)
+        ref = run_with_coverage(reference.executable, data)
+        for name, a, b in zip(BEHAVIOUR_FIELDS, got, ref):
+            if a != b:
+                mismatches.append(
+                    f"input {data[:16]!r}: {name} differs "
+                    f"({a!r} vs {against} {b!r})"
+                )
+    return mismatches
 
 
 @dataclass
@@ -138,13 +191,12 @@ class DifferentialOracle:
         workers: int = 1,
         worker_mode: str = "serial",
         max_inputs: int = 4,
-        corpus_seed: int = 0,
     ):
         self.program = program
         self.use_service = use_service
         self.workers = workers
         self.worker_mode = worker_mode
-        inputs = program.seeds(corpus_seed)
+        inputs = program.seeds()
         if not inputs:
             raise ValueError(f"program {program.name!r} has an empty seed corpus")
         self.inputs: List[bytes] = inputs[:max_inputs]
@@ -188,31 +240,10 @@ class DifferentialOracle:
 
     def compare_to_reference(self, engine: Odin) -> List[str]:
         """Build the same probe state from scratch and diff all layers."""
-        mismatches: List[str] = []
         ref_engine, aligned = self._build_reference(engine)
         if not aligned:
             return ["probe id universe diverged between engines"]
-
-        inc_objs = engine.object_fingerprints()
-        ref_objs = ref_engine.object_fingerprints()
-        for fid in sorted(ref_objs):
-            if inc_objs.get(fid) != ref_objs[fid]:
-                mismatches.append(
-                    f"fragment #{fid} object bytes differ "
-                    f"(incremental {str(inc_objs.get(fid))[:12]} != "
-                    f"from-scratch {ref_objs[fid][:12]})"
-                )
-        inc_fp = engine.executable_fingerprint()
-        ref_fp = ref_engine.executable_fingerprint()
-        if inc_fp != ref_fp:
-            mismatches.append(
-                f"linked image differs (incremental {str(inc_fp)[:12]} != "
-                f"from-scratch {str(ref_fp)[:12]})"
-            )
-        mismatches.extend(
-            self._compare_behaviour(engine.executable, ref_engine.executable)
-        )
-        return mismatches
+        return diff_engines(engine, ref_engine, self.inputs, "from-scratch")
 
     def _build_reference(self, incremental: Odin) -> Tuple[Odin, bool]:
         """Fresh engine + single full build reproducing the probe state.
@@ -237,22 +268,6 @@ class DifferentialOracle:
                 engine.manager.disable(probe)
         tool.build()
         return engine, True
-
-    def _compare_behaviour(
-        self, inc_exe: Optional[Executable], ref_exe: Optional[Executable]
-    ) -> List[str]:
-        mismatches: List[str] = []
-        if inc_exe is None or ref_exe is None:
-            return ["an engine has no executable to compare"]
-        for data in self.inputs:
-            inc = run_with_coverage(inc_exe, data)
-            ref = run_with_coverage(ref_exe, data)
-            for name, a, b in zip(BEHAVIOUR_FIELDS, inc, ref):
-                if a != b:
-                    mismatches.append(
-                        f"input {data[:16]!r}: {name} differs ({a!r} != {b!r})"
-                    )
-        return mismatches
 
 
 class _IncrementalSession:
@@ -304,19 +319,15 @@ class _IncrementalSession:
             report = self.executor.prune()
             return report.pruned, report.rebuild is not None
 
-        if step.kind == STEP_DISABLE:
-            eligible = [p for p in manager if p.enabled]
-        elif step.kind == STEP_ENABLE:
-            eligible = [p for p in manager if not p.enabled]
-        else:  # STEP_REMOVE
-            eligible = list(manager)
-        eligible.sort(key=lambda p: p.id)
-        picked = pick_targets(rng, eligible, step.count)
+        picked = pick_step(manager, step, rng)
         if not picked:
             return 0, False
-
+        if step.kind == STEP_REMOVE:
+            for probe in picked:
+                self.tool.probes.pop(probe.id, None)
         if self.client is not None:
-            self._apply_via_service(step.kind, picked)
+            op = STEP_OPS[step.kind]
+            self.client.rebuild([ProbeOp(op, p.id) for p in picked])
         else:
             for probe in picked:
                 if step.kind == STEP_DISABLE:
@@ -324,22 +335,7 @@ class _IncrementalSession:
                 elif step.kind == STEP_ENABLE:
                     manager.enable(probe)
                 else:
-                    self.tool.probes.pop(probe.id, None)
                     manager.remove(probe)
             self.engine.rebuild_if_needed()
         self.executor._refresh_vm()
         return len(picked), self.engine.executable is not before_exe
-
-    def _apply_via_service(self, kind: str, picked) -> None:
-        from repro.service.jobs import OP_DISABLE, OP_ENABLE, OP_REMOVE, ProbeOp
-
-        op_kind = {
-            STEP_DISABLE: OP_DISABLE,
-            STEP_ENABLE: OP_ENABLE,
-            STEP_REMOVE: OP_REMOVE,
-        }[kind]
-        ids = [p.id for p in picked]
-        if kind == STEP_REMOVE:
-            for pid in ids:
-                self.tool.probes.pop(pid, None)
-        self.client.rebuild([ProbeOp(op_kind, pid) for pid in ids])

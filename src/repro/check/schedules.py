@@ -79,19 +79,23 @@ class ProbeSchedule:
         return f"schedule #{self.schedule_id} (seed {self.seed}): {inner}"
 
 
+def weighted_choice(rng: DeterministicRNG, table: Sequence[Tuple[T, int]]) -> T:
+    """Pick a key from ``(key, weight)`` pairs with one ``randint`` roll."""
+    roll = rng.randint(1, sum(weight for _, weight in table))
+    for key, weight in table:
+        roll -= weight
+        if roll <= 0:
+            return key
+    return table[-1][0]  # pragma: no cover - unreachable
+
+
 def _weighted_kind(rng: DeterministicRNG, include_prune: bool) -> str:
-    pool = [
+    return weighted_choice(rng, [
         (kind, weight)
         for kind, weight in _KIND_WEIGHTS
         if include_prune or kind != STEP_PRUNE
-    ]
-    total = sum(weight for _, weight in pool)
-    roll = rng.randint(1, total)
-    for kind, weight in pool:
-        roll -= weight
-        if roll <= 0:
-            return kind
-    return pool[-1][0]  # pragma: no cover - unreachable
+    ])
+
 
 def generate_schedules(
     count: int,
@@ -138,3 +142,22 @@ def pick_targets(
     while remaining and len(picked) < count:
         picked.append(remaining.pop(rng.randint(0, len(remaining) - 1)))
     return picked
+
+
+def pick_step(manager, step: ScheduleStep, rng: DeterministicRNG) -> list:
+    """The probes a disable / enable / remove step touches.
+
+    Eligible probes are selected by kind and sorted by id before
+    :func:`pick_targets` draws from them, so the pick is a pure function
+    of the probe state and *rng* on every replayer.
+    """
+    if step.kind == STEP_DISABLE:
+        eligible = [p for p in manager if p.enabled]
+    elif step.kind == STEP_ENABLE:
+        eligible = [p for p in manager if not p.enabled]
+    elif step.kind == STEP_REMOVE:
+        eligible = list(manager)
+    else:
+        raise ValueError(f"{step.kind} steps pick no probes")
+    eligible.sort(key=lambda p: p.id)
+    return pick_targets(rng, eligible, step.count)

@@ -27,17 +27,16 @@ to be merely "close" to the slow one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.check.schedules import (
     STEP_DISABLE,
     STEP_ENABLE,
     STEP_PRUNE,
-    STEP_REMOVE,
     ProbeSchedule,
-    pick_targets,
+    pick_step,
 )
-from repro.check.oracle import BEHAVIOUR_FIELDS, run_with_coverage
+from repro.check.oracle import diff_engines
 from repro.core.engine import Odin
 from repro.fuzz.executor import PRESERVED, OdinCovExecutor
 from repro.instrument.coverage import OdinCov
@@ -188,15 +187,9 @@ class _TierSession:
 class TierSweep:
     """Replays schedules through every tier and diffs all layers."""
 
-    def __init__(
-        self,
-        program: TargetProgram,
-        *,
-        max_inputs: int = 4,
-        corpus_seed: int = 0,
-    ):
+    def __init__(self, program: TargetProgram, *, max_inputs: int = 4):
         self.program = program
-        inputs = program.seeds(corpus_seed)
+        inputs = program.seeds()
         if not inputs:
             raise ValueError(f"program {program.name!r} has an empty seed corpus")
         self.inputs: List[bytes] = inputs[:max_inputs]
@@ -220,17 +213,25 @@ class TierSweep:
                     for session in sessions:
                         session.executor.execute(data)
                     cursor += 1
-                kind, ids = self._pick_ops(lead, step, rng)
+                ids = self._pick_ids(lead, step, rng)
                 step_outcome = TierStepOutcome(index, step.kind, len(ids), False)
                 if ids:
                     for session in sessions:
-                        session.apply_ops(kind, ids)
+                        session.apply_ops(step.kind, ids)
                         for tier in session.new_tiers():
                             outcome.tiers_hit[tier] = (
                                 outcome.tiers_hit.get(tier, 0) + 1
                             )
                     step_outcome.compared = True
-                    step_outcome.mismatches = self._compare(sessions)
+                    # Every fast tier against the full path, all layers.
+                    full = sessions[-1].engine
+                    step_outcome.mismatches = [
+                        f"{session.label}: {mismatch}"
+                        for session in sessions[:-1]
+                        for mismatch in diff_engines(
+                            session.engine, full, self.inputs, "full"
+                        )
+                    ]
                 outcome.steps.append(step_outcome)
         except Exception as error:  # surface, do not crash the sweep
             outcome.error = f"{type(error).__name__}: {error}"
@@ -238,71 +239,18 @@ class TierSweep:
 
     # -- op selection ------------------------------------------------------------
 
-    def _pick_ops(
+    def _pick_ids(
         self, lead: _TierSession, step, rng: DeterministicRNG
-    ) -> Tuple[str, List[int]]:
+    ) -> List[int]:
         """Pick the step's probe ids once, on the lead session.
 
         Every session then applies the same ids, so the three probe
         states stay aligned by construction — a behaviour bug shows up
         as a comparison mismatch, never as schedule drift.
         """
-        manager = lead.engine.manager
         if step.kind == STEP_PRUNE:
-            live = {p.id for p in manager}
-            ids = sorted(
+            live = {p.id for p in lead.engine.manager}
+            return sorted(
                 pid for pid in lead.tool.runtime.covered_ids() if pid in live
             )
-            return STEP_PRUNE, ids
-        if step.kind == STEP_DISABLE:
-            eligible = [p for p in manager if p.enabled]
-        elif step.kind == STEP_ENABLE:
-            eligible = [p for p in manager if not p.enabled]
-        else:  # STEP_REMOVE
-            eligible = list(manager)
-        eligible.sort(key=lambda p: p.id)
-        picked = pick_targets(rng, eligible, step.count)
-        return step.kind, [p.id for p in picked]
-
-    # -- equivalence -------------------------------------------------------------
-
-    def _compare(self, sessions: List[_TierSession]) -> List[str]:
-        """Diff every fast tier against the full path, all three layers."""
-        mismatches: List[str] = []
-        reference = sessions[-1]  # full
-        ref_objs = reference.engine.object_fingerprints()
-        ref_exe_fp = reference.engine.executable_fingerprint()
-        ref_behaviour = [
-            run_with_coverage(reference.engine.executable, data)
-            for data in self.inputs
-        ]
-        for session in sessions[:-1]:
-            objs = session.engine.object_fingerprints()
-            if set(objs) != set(ref_objs):
-                mismatches.append(
-                    f"{session.label}: linked fragment set differs from full "
-                    f"({sorted(objs)} != {sorted(ref_objs)})"
-                )
-                continue
-            for fid in sorted(ref_objs):
-                if objs[fid] != ref_objs[fid]:
-                    mismatches.append(
-                        f"{session.label}: fragment #{fid} object bytes differ "
-                        f"from full ({objs[fid][:12]} != {ref_objs[fid][:12]})"
-                    )
-            exe_fp = session.engine.executable_fingerprint()
-            if exe_fp != ref_exe_fp:
-                mismatches.append(
-                    f"{session.label}: linked image differs from full "
-                    f"({str(exe_fp)[:12]} != {str(ref_exe_fp)[:12]})"
-                )
-            for data, ref in zip(self.inputs, ref_behaviour):
-                got = run_with_coverage(session.engine.executable, data)
-                for name, a, b in zip(BEHAVIOUR_FIELDS, got, ref):
-                    if a != b:
-                        mismatches.append(
-                            f"{session.label}: input {data[:16]!r} {name} "
-                            f"differs from full ({a!r} != {b!r})"
-                        )
-        return mismatches
-
+        return [p.id for p in pick_step(lead.engine.manager, step, rng)]

@@ -302,11 +302,8 @@ DEFAULT_CHAOS_PROGRAMS = ("lcms",)
 
 def cmd_chaos(args) -> int:
     """Seeded chaos harness: fault-injected service runs vs the oracle."""
-    from repro.check.chaos import ChaosRunner, generate_chaos_schedules
+    from repro.check.chaos import ChaosRunner, ServiceChaos, generate_chaos_schedules
 
-    programs = [
-        get_program(name) for name in (args.programs or DEFAULT_CHAOS_PROGRAMS)
-    ]
     schedules = generate_chaos_schedules(
         args.schedules,
         args.seed,
@@ -314,34 +311,14 @@ def cmd_chaos(args) -> int:
         max_faults=args.max_faults,
         max_steps=args.max_steps,
     )
-    failed = False
-    reports = []
-    for program in programs:
-        runner = ChaosRunner(
-            program,
-            workers=args.workers,
-            worker_mode=args.mode,
-            max_inputs=args.max_inputs,
-        )
-        report = runner.run(schedules, args.seed)
-        reports.append(report)
-        print(report.summary())
-        for outcome in report.outcomes:
-            print(f"  {outcome.schedule.describe()}: "
-                  f"{outcome.replies} replies, {outcome.shed} shed, "
-                  f"{outcome.worker_restarts} restarts, "
-                  f"{outcome.quarantined} quarantined"
-                  + ("" if outcome.ok else "  FAILED"))
-        for failure in report.failures:
-            print(f"  CHAOS {failure}")
-        failed = failed or not report.ok
-    if args.report_json:
-        payload = [report.to_dict() for report in reports]
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"chaos report written to {args.report_json}")
-    print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
+    reports = [
+        ChaosRunner(
+            ServiceChaos, [get_program(name)], args.max_inputs,
+            workers=args.workers, worker_mode=args.mode,
+        ).run(schedules, args.seed)
+        for name in args.programs or DEFAULT_CHAOS_PROGRAMS
+    ]
+    return _finish_chaos(args, reports)
 
 
 DEFAULT_CLUSTER_PROGRAMS = ("json", "lcms")
@@ -349,39 +326,52 @@ DEFAULT_CLUSTER_PROGRAMS = ("json", "lcms")
 
 def cmd_cluster(args) -> int:
     """Sharded multi-tenant cluster chaos sweep with recovery oracle."""
-    from repro.check.chaos import run_cluster_chaos
+    from repro.check.chaos import (
+        ChaosRunner,
+        ClusterChaos,
+        generate_cluster_chaos_schedules,
+    )
 
     programs = [
         get_program(name)
         for name in (args.programs or DEFAULT_CLUSTER_PROGRAMS)
     ]
-    report = run_cluster_chaos(
-        programs,
-        schedules=args.schedules,
-        seed=args.seed,
-        shards=args.shards,
-        tenants=args.tenants,
-        max_inputs=args.max_inputs,
-        reply_timeout_s=args.reply_timeout,
+    runner = ChaosRunner(
+        ClusterChaos, programs, args.max_inputs,
+        shards=args.shards, reply_timeout_s=args.reply_timeout,
     )
-    print(report.summary())
-    for outcome in report.outcomes:
-        shed = sum(t.shed_quota + t.shed_deadline for t in outcome.tenants)
-        print(f"  {outcome.schedule.describe()}: "
-              f"{sum(outcome.injected.values())} faults, "
-              f"{outcome.failovers} failovers, "
-              f"{outcome.migrations} migrated, "
-              f"{outcome.resubmits} resubmits, {shed} shed, "
-              f"{outcome.live_shards} shards live"
-              + ("" if outcome.ok else "  FAILED"))
-    for failure in report.failures:
-        print(f"  CLUSTER {failure}")
+    schedules = generate_cluster_chaos_schedules(
+        args.schedules, args.seed, tenants=args.tenants
+    )
+    return _finish_chaos(args, [runner.run(schedules, args.seed)])
+
+
+def _finish_chaos(args, reports) -> int:
+    """Print each chaos report, its failures and the verdict; write the
+    reports as one JSON list if asked."""
+    failed = False
+    for report in reports:
+        print(report.summary())
+        for outcome in report.outcomes:
+            replies = sum(c.replies for c in outcome.campaigns)
+            shed = sum(sum(c.shed.values()) for c in outcome.campaigns)
+            counters = ", ".join(
+                f"{name}={value}" for name, value in outcome.counters.items()
+            )
+            print(f"  {outcome.schedule.describe()}: "
+                  f"{sum(outcome.injected.values())} injected, "
+                  f"{replies} replies, {shed} shed, {counters}"
+                  + ("" if outcome.ok else "  FAILED"))
+        for failure in report.failures:
+            print(f"  CHAOS {failure}")
+        failed = failed or not report.ok
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"cluster report written to {args.report_json}")
-    print("FAIL" if not report.ok else "PASS")
-    return 0 if report.ok else 1
+            json.dump([report.to_dict() for report in reports], fh,
+                      indent=2, sort_keys=True)
+        print(f"chaos report written to {args.report_json}")
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
 
 
 DEFAULT_PARTISAN_PROGRAMS = ("json", "lcms", "libjpeg")

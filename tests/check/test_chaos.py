@@ -11,13 +11,16 @@ import pytest
 from repro.check.chaos import (
     FAULT_CACHE_CORRUPT,
     FAULT_DEADLINE_EXPIRE,
-    FAULT_KINDS,
+    FAULT_SHARD_KILL,
     FAULT_WORKER_CRASH,
+    SERVICE_FAULTS,
+    CampaignOutcome,
     ChaosOutcome,
     ChaosReport,
     ChaosRunner,
     ChaosSchedule,
     FaultEvent,
+    ServiceChaos,
     generate_chaos_schedules,
 )
 from repro.check.schedules import (
@@ -46,14 +49,14 @@ class TestGeneration:
     def test_fault_plans_respect_bounds(self):
         for schedule in generate_chaos_schedules(8, 3, min_faults=2, max_faults=3):
             assert 2 <= len(schedule.faults) <= 3
-            steps = len(schedule.probe_schedule.steps)
+            (campaign,) = schedule.campaigns
             for fault in schedule.faults:
-                assert 0 <= fault.step < steps
-                assert fault.kind in FAULT_KINDS
+                assert 0 <= fault.step < len(campaign.steps)
+                assert fault.kind in dict(SERVICE_FAULTS)
 
     def test_prune_steps_excluded_by_default(self):
         for schedule in generate_chaos_schedules(8, 3):
-            kinds = {step.kind for step in schedule.probe_schedule.steps}
+            kinds = {step.kind for step in schedule.campaigns[0].steps}
             assert STEP_PRUNE not in kinds
 
     def test_fault_event_validation(self):
@@ -71,24 +74,47 @@ class TestReport:
     def _schedule(self):
         steps = (ScheduleStep(STEP_DISABLE, count=1, inputs=0),)
         return ChaosSchedule(
-            7, 3, ProbeSchedule(7, 3, steps), (FaultEvent(0, FAULT_WORKER_CRASH),)
+            7, 3, (ProbeSchedule(7, 3, steps),),
+            (FaultEvent(0, FAULT_WORKER_CRASH),),
         )
 
     def test_failures_and_summary(self):
-        report = ChaosReport("demo", 3)
+        report = ChaosReport("service", ["demo"], 3, {}, ("worker_restarts",))
         good = ChaosOutcome(self._schedule())
         good.injected = {FAULT_WORKER_CRASH: 1}
-        good.worker_restarts = 1
+        good.counters["worker_restarts"] = 1
+        good.campaigns.append(CampaignOutcome("chaos", "demo"))
         bad = ChaosOutcome(self._schedule())
-        bad.mismatches.append("object bytes differ for frag x")
+        bad.campaigns.append(CampaignOutcome("chaos", "demo"))
+        bad.campaigns[0].mismatches.append("object bytes differ for frag x")
         report.outcomes = [good, bad]
         assert not report.ok
         assert report.faults_injected == 1
-        assert report.failures == ["chaos #7: object bytes differ for frag x"]
+        assert report.failures == [
+            "chaos #7 [chaos]: object bytes differ for frag x"
+        ]
+        assert "1 worker restarts" in report.summary()
         assert "1 FAILURES" in report.summary()
         payload = report.to_dict()
         assert payload["ok"] is False
-        assert payload["outcomes"][0]["worker_restarts"] == 1
+        assert payload["outcomes"][0]["counters"]["worker_restarts"] == 1
+
+
+class TestRunner:
+    def test_unknown_option_rejected(self):
+        with pytest.raises(TypeError, match="shards"):
+            ChaosRunner(ServiceChaos, [get_program("json")], shards=3)
+
+    def test_fault_for_the_other_target_is_an_error(self):
+        steps = (ScheduleStep(STEP_DISABLE, count=1, inputs=0),)
+        schedule = ChaosSchedule(
+            0, 5, (ProbeSchedule(0, 5, steps),), (FaultEvent(0, FAULT_SHARD_KILL),)
+        )
+        outcome = ChaosRunner(
+            ServiceChaos, [get_program("json")], max_inputs=1
+        ).run_schedule(schedule)
+        assert not outcome.ok
+        assert "cannot fire ['shard-kill']" in outcome.error
 
 
 class TestAcceptance:
@@ -112,7 +138,7 @@ class TestAcceptance:
         schedule = ChaosSchedule(
             0,
             77,
-            ProbeSchedule(0, 77, steps),
+            (ProbeSchedule(0, 77, steps),),
             (
                 FaultEvent(0, FAULT_WORKER_CRASH),
                 FaultEvent(1, FAULT_CACHE_CORRUPT),
@@ -120,11 +146,13 @@ class TestAcceptance:
             ),
         )
         runner = ChaosRunner(
-            get_program("lcms"), workers=2, worker_mode=MODE_PROCESS, max_inputs=2
+            ServiceChaos, [get_program("lcms")], max_inputs=2,
+            workers=2, worker_mode=MODE_PROCESS,
         )
         outcome = runner.run_schedule(schedule)
         assert outcome.error is None
-        assert outcome.mismatches == []
+        (campaign,) = outcome.campaigns
+        assert campaign.mismatches == []
         assert outcome.ok
         # Every fault actually fired ...
         assert outcome.injected == {
@@ -132,12 +160,12 @@ class TestAcceptance:
             FAULT_CACHE_CORRUPT: 1,
             FAULT_DEADLINE_EXPIRE: 1,
         }
-        assert outcome.unfired_worker_faults == 0
+        assert outcome.counters["unfired_worker_faults"] == 0
         # ... and the service degraded without lying: all three probe
         # steps were answered, the expired job was shed (not compiled),
         # the crash forced a pool restart, and the corrupt blob was
         # quarantined instead of served or raised.
-        assert outcome.replies == len(steps)
-        assert outcome.shed == 1
-        assert outcome.worker_restarts >= 1
-        assert outcome.quarantined >= 1
+        assert campaign.steps == campaign.replies == len(steps)
+        assert campaign.shed == {"deadline": 1}
+        assert outcome.counters["worker_restarts"] >= 1
+        assert outcome.counters["quarantined"] >= 1

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.check.chaos import (
-    CLUSTER_FAULT_KINDS,
-    ClusterFaultEvent,
+    CLUSTER_FAULTS,
+    ChaosRunner,
+    ClusterChaos,
+    FaultEvent,
     generate_cluster_chaos_schedules,
-    run_cluster_chaos,
 )
 from repro.programs.registry import get_program
 
@@ -31,22 +32,22 @@ class TestGeneration:
             4, 5, tenants=5, min_faults=1, max_faults=2
         )
         for schedule in schedules:
-            assert len(schedule.tenant_schedules) == 5
+            assert len(schedule.campaigns) == 5
             assert 1 <= len(schedule.faults) <= 2
             for fault in schedule.faults:
-                assert fault.kind in CLUSTER_FAULT_KINDS
-                assert 0 <= fault.round < schedule.rounds
+                assert fault.kind in dict(CLUSTER_FAULTS)
+                assert 0 <= fault.step < schedule.rounds
 
     def test_fault_event_validation(self):
         with pytest.raises(ValueError):
-            ClusterFaultEvent(0, "meteor-strike")
+            FaultEvent(0, "meteor-strike")
         with pytest.raises(ValueError):
-            ClusterFaultEvent(-1, "shard-kill")
+            FaultEvent(-1, "shard-kill")
 
     def test_describe_mentions_faults(self):
         schedule = generate_cluster_chaos_schedules(1, 3, tenants=4)[0]
         text = schedule.describe()
-        assert "tenants" in text and "rounds" in text
+        assert "4 campaigns" in text and "rounds" in text
 
 
 class TestSweep:
@@ -54,22 +55,47 @@ class TestSweep:
         # Small tier-1 version of the CI acceptance sweep: one seeded
         # schedule, 3 shards, 4 tenants over one program.  Every tenant
         # campaign must complete and every surviving engine must rebuild
-        # fingerprint-identical to an uninterrupted run.
-        report = run_cluster_chaos(
-            [get_program("json")],
-            schedules=1, seed=7, shards=3, tenants=4,
-            max_inputs=2, reply_timeout_s=3.0,
+        # fingerprint-identical to an uninterrupted run.  The schedule
+        # has no hang fault, so no count below depends on a timeout.
+        runner = ChaosRunner(
+            ClusterChaos, [get_program("json")], max_inputs=2,
+            shards=3, reply_timeout_s=3.0,
         )
+        report = runner.run(generate_cluster_chaos_schedules(1, 7, tenants=4), 7)
         assert report.ok, report.failures
         outcome = report.outcomes[0]
         assert outcome.error is None
-        assert sum(outcome.injected.values()) >= 1
-        assert len(outcome.tenants) == 4
-        for tenant in outcome.tenants:
-            assert tenant.mismatches == []
+        assert outcome.injected == {"shard-kill": 1}
+        assert outcome.counters == {
+            "failovers": 1,
+            "migrations": 4,
+            "resubmits": 0,
+            "live_shards": 2,
+            "degraded": True,
+        }
+        assert [(c.steps, c.replies) for c in outcome.campaigns] == [
+            (4, 4), (3, 3), (4, 3), (5, 4),
+        ]
+        for campaign in outcome.campaigns:
+            assert campaign.mismatches == []
+            assert campaign.shed == {}
+            assert campaign.breaker_rejections == campaign.resubmits == 0
         # The report is JSON-serializable end to end (CI artifact).
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
-        assert payload["shards"] == 3
-        assert payload["outcomes"][0]["tenants"][0]["tenant_id"] == "tenant-0"
-        assert "cluster[" in report.summary()
+        assert payload["options"]["shards"] == 3
+        assert payload["outcomes"][0]["campaigns"][0]["client"] == "tenant-0"
+        assert "cluster[json]" in report.summary()
+
+    def test_one_tenant_per_campaign(self):
+        # The tenant count comes from the schedule: a 2-campaign schedule
+        # registers exactly 2 tenants, and both campaigns really run.
+        schedules = generate_cluster_chaos_schedules(1, 7, tenants=2)
+        runner = ChaosRunner(
+            ClusterChaos, [get_program("json")], max_inputs=1,
+            reply_timeout_s=3.0,
+        )
+        outcome = runner.run_schedule(schedules[0])
+        assert outcome.ok, (outcome.error, outcome.campaigns)
+        assert [c.client for c in outcome.campaigns] == ["tenant-0", "tenant-1"]
+        assert all(c.steps > 0 for c in outcome.campaigns)

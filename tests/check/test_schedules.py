@@ -8,6 +8,7 @@ from repro.check.schedules import (
     ProbeSchedule,
     ScheduleStep,
     generate_schedules,
+    pick_step,
     pick_targets,
 )
 from repro.utils.rng import DeterministicRNG
@@ -65,3 +66,7 @@ class TestPickTargets:
     def test_bounded_by_eligible(self):
         assert len(pick_targets(DeterministicRNG(1), [1, 2], 5)) == 2
         assert pick_targets(DeterministicRNG(1), [], 3) == []
+
+    def test_prune_steps_pick_no_probes(self):
+        with pytest.raises(ValueError, match="prune"):
+            pick_step([], ScheduleStep(STEP_PRUNE), DeterministicRNG(1))
