@@ -46,6 +46,9 @@ from repro.cluster.shard import RouterPartitionError, ShardDownError
 
 __all__ = ["ClusterClient"]
 
+# Submits one logical request may spend across failovers.
+MAX_ROUTE_ATTEMPTS = 4
+
 
 class ClusterClient:
     """One tenant's client for one registered cluster target."""
@@ -96,7 +99,7 @@ class ClusterClient:
         wait = cluster.reply_timeout_s if timeout is None else timeout
         attempts = 0
         last_error: Optional[BaseException] = None
-        while attempts < cluster.max_route_attempts:
+        while attempts < MAX_ROUTE_ATTEMPTS:
             attempts += 1
             entry = cluster.target(self.tenant_id, self.name)
             shard = cluster.shards[entry.shard_id]
@@ -151,7 +154,7 @@ class ClusterClient:
             cluster.tenants.note_reply(self.tenant_id)
             return reply
         raise ClusterError(
-            f"request {token!r} exhausted {cluster.max_route_attempts} "
+            f"request {token!r} exhausted {MAX_ROUTE_ATTEMPTS} "
             f"routing attempts"
         ) from last_error
 

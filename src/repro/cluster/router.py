@@ -56,7 +56,7 @@ from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.metrics import MetricsRegistry
-from repro.service.cache import CodeCache, InMemoryCodeCache, PassMemoCache, PersistentCodeCache
+from repro.service.cache import PassMemoCache
 from repro.service.jobs import (
     OP_DISABLE,
     OP_ENABLE,
@@ -65,12 +65,16 @@ from repro.service.jobs import (
     ProbeOp,
 )
 from repro.service.resilience import BREAKER_OPEN
-from repro.service.server import RecompilationService
+from repro.service.server import RecompilationService, open_code_cache
 from repro.cluster.ring import ConsistentHashRing, content_route_key
 from repro.cluster.shard import Shard, ShardDownError
 from repro.cluster.tenants import TenantAccountant, TenantSpec
 
 __all__ = ["CompileCluster", "ClusterError"]
+
+# Fixed for every cluster; neither is a constructor value.
+VIRTUAL_NODES = 32            # ring points per shard
+DEGRADED_BULK_FACTOR = 0.25   # bulk tenants' quota share while degraded
 
 
 class ClusterError(ReproError):
@@ -104,63 +108,47 @@ class _ClusterTarget:
 
 
 class CompileCluster:
-    """Fault-tolerant sharded multi-tenant recompilation cluster."""
+    """Fault-tolerant sharded multi-tenant recompilation cluster.
+
+    Settable: the shard count, a ``cache_dir`` to persist the shared
+    cache in, the failover trigger (``heartbeat_miss_threshold``), the
+    admission window (``quota_window``) and each client wait's bound
+    (``reply_timeout_s``).  Shards are single-worker serial services;
+    everything else is a module constant.
+    """
 
     def __init__(
         self,
         shards: int = 3,
         *,
-        workers: int = 1,
-        worker_mode: str = "serial",
-        cache: Optional[CodeCache] = None,
         cache_dir: Optional[str] = None,
-        cache_max_bytes: int = 64 * 1024 * 1024,
-        pass_memo: bool = True,
-        virtual_nodes: int = 32,
         heartbeat_miss_threshold: int = 3,
         quota_window: int = 64,
-        degraded_bulk_factor: float = 0.25,
         reply_timeout_s: float = 8.0,
-        max_route_attempts: int = 4,
-        service_kwargs: Optional[dict] = None,
     ):
         if shards < 1:
             raise ClusterError("a cluster needs at least one shard")
-        if cache is not None and cache_dir is not None:
-            raise ClusterError("pass either cache or cache_dir, not both")
         # The shared cache tier: ONE object cache + ONE pass memo,
         # mounted by every shard.  Content keys are tenant-agnostic, so
         # identical work from different tenants/shards hits.
-        if cache is None:
-            cache = (
-                PersistentCodeCache(cache_dir, max_bytes=cache_max_bytes)
-                if cache_dir is not None
-                else InMemoryCodeCache(max_bytes=cache_max_bytes)
-            )
-        self.cache = cache
-        self.pass_memo = PassMemoCache() if pass_memo else None
+        self.cache = open_code_cache(cache_dir)
+        self.pass_memo = PassMemoCache()
         self.metrics = MetricsRegistry()
         self.heartbeat_miss_threshold = heartbeat_miss_threshold
         self.reply_timeout_s = reply_timeout_s
-        self.max_route_attempts = max_route_attempts
         self.tenants = TenantAccountant(
-            window=quota_window, degraded_bulk_factor=degraded_bulk_factor
+            window=quota_window, degraded_bulk_factor=DEGRADED_BULK_FACTOR
         )
-        kwargs = dict(service_kwargs or {})
-        kwargs.setdefault("workers", workers)
-        kwargs.setdefault("worker_mode", worker_mode)
         self.shards: Dict[str, Shard] = {}
         for index in range(shards):
             shard_id = f"shard-{index}"
             service = RecompilationService(
-                cache=self.cache,
-                pass_memo=self.pass_memo if self.pass_memo is not None else False,
-                **kwargs,
+                cache=self.cache, pass_memo=self.pass_memo
             )
             self.shards[shard_id] = Shard(shard_id, service)
         self.initial_shards = shards
         self.ring = ConsistentHashRing(
-            sorted(self.shards), virtual_nodes=virtual_nodes
+            sorted(self.shards), virtual_nodes=VIRTUAL_NODES
         )
         self._lock = threading.RLock()
         self._targets: Dict[str, _ClusterTarget] = {}
@@ -489,6 +477,5 @@ class CompileCluster:
         }
         snapshot["tenants"] = self.tenants.stats()
         snapshot["shared_cache"] = self.cache.stats()
-        if self.pass_memo is not None:
-            snapshot["pass_memo"] = self.pass_memo.stats()
+        snapshot["pass_memo"] = self.pass_memo.stats()
         return snapshot

@@ -350,8 +350,6 @@ class RebuildReport:
     patched: int = 0
     # Fragments whose middle end was skipped via pass memoization.
     memo_hits: int = 0
-    # Cache hits whose entry was planted by speculative precompilation.
-    speculative_hits: int = 0
     # Whether the final link was satisfied from the executable cache.
     link_reused: bool = False
     # Compile lanes used; >1 only on the service's worker-pool path.
@@ -487,9 +485,6 @@ class Odin:
         self._masters: Dict[int, ObjectFile] = {}
         self._site_sets: Dict[int, frozenset] = {}
         self._master_keys: Dict[int, str] = {}
-        # Content keys planted by speculative precompilation; a later
-        # cache hit on one counts as a speculative hit.
-        self.speculative_keys: set = set()
         self.executable: Optional[Executable] = None
         self.clock = SimClock()
         self.history: List[RebuildReport] = []
@@ -658,8 +653,6 @@ class Odin:
                 tier = TIER_CACHE
                 cost = 0.0
                 report.cache_hits += 1
-                if key in self.speculative_keys:
-                    report.speculative_hits += 1
             entries.append([fragment, cost, tier, master])
 
         # Unified accounting over the one cost vector.
@@ -977,10 +970,6 @@ class Odin:
         )
         apply_fragment_linkage(frag_module, self.fragdef)
         return frag_module
-
-    def _compile_fragment(self, frag_module: Module) -> ObjectFile:
-        """Optimize (post-instrumentation) and lower one fragment."""
-        return compile_fragment(frag_module, self.opt_level, self.verify)
 
     # -- static analysis ------------------------------------------------------------
 

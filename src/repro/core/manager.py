@@ -224,7 +224,7 @@ class PatchManager:
         """Run Algorithm 2 and return the scheduler for this rebuild."""
         from repro.core.scheduler import Scheduler
 
-        return Scheduler(self.engine, self)
+        return Scheduler(self.engine)
 
     def clear_dirty(self) -> None:
         self._dirty_probe_ids.clear()

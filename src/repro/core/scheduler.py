@@ -46,15 +46,14 @@ from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Odin, RebuildReport
-    from repro.core.manager import PatchManager
 
 
 class Scheduler:
     """One scheduled recompilation: temporary IR + the probes to apply."""
 
-    def __init__(self, engine: "Odin", manager: "PatchManager"):
+    def __init__(self, engine: "Odin"):
         self.engine = engine
-        self.manager = manager
+        self.manager = manager = engine.manager
         schedule_start = time.perf_counter()
 
         fragdef = engine.fragdef

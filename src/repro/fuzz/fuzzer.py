@@ -5,7 +5,8 @@ coverage.  Two Odin-specific hooks reproduce the paper's workflow:
 
 * ``prune_interval`` — every N executions the fuzzer asks the OdinCov
   executor to prune covered probes and recompile on the fly (Untracer/
-  Zeror-style, but compiler-based);
+  Zeror-style, but compiler-based), and waits for that rebuild, whether
+  the engine runs it in-process or a recompilation service does;
 * ``cmplog`` — when a comparison roadblock stalls progress, recorded
   operand pairs are run through input-to-state substitution, and solved
   comparisons' probes are removed (§2.1: AFL++ considers a comparison no
@@ -55,7 +56,6 @@ class Fuzzer:
         seed: int = 1,
         prune_interval: int = 0,
         keep_crashes: bool = True,
-        speculator=None,
     ):
         self.executor = executor
         self.corpus = Corpus(seeds)
@@ -63,10 +63,6 @@ class Fuzzer:
         self.mutator = Mutator(self.rng.fork())
         self.prune_interval = prune_interval
         self.keep_crashes = keep_crashes
-        # Optional ProbeStateSpeculator: fed fresh corpus/coverage signal
-        # after every prune so the service can precompile the next prune
-        # state in its idle lanes (the fuzzer never blocks on it).
-        self.speculator = speculator
         self.stats = FuzzStats()
 
     # -- driving --------------------------------------------------------------
@@ -98,10 +94,6 @@ class Fuzzer:
                 report = self.executor.prune()
                 if report.rebuild is not None:
                     self._note_rebuild(report.rebuild)
-                if self.speculator is not None:
-                    self.speculator.observe_corpus(
-                        self.corpus, runtime=self.executor.tool.runtime
-                    )
         self._sync_stats()
         return self.stats
 

@@ -14,10 +14,11 @@ probe-signature dimensions whose instrumented IR happens to coincide,
 and its hits still pay isel, keeping the three tiers' costs distinct
 (patch < memo < full).
 
-:class:`PassMemoCache` (a :class:`~repro.service.cache.CodeCache` over
-:class:`MemoEntry` payloads) lives in ``repro.service.cache`` so it can
-reuse the budget/quarantine machinery; this module only defines the key
-scheme and the payload, keeping ``repro.opt`` free of service imports.
+:class:`PassMemoCache` (an in-memory
+:class:`~repro.service.cache.CodeCache` over :class:`MemoEntry`
+payloads) lives in ``repro.service.cache`` so it can reuse the LRU and
+size-budget machinery; this module only defines the key scheme and the
+payload, keeping ``repro.opt`` free of service imports.
 """
 
 from __future__ import annotations

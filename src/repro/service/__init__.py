@@ -13,23 +13,23 @@ in one, structured like an inference server:
 * :mod:`repro.service.cache` — **persistent content-addressed code
   cache** keyed by hash(fragment IR + probe state + opt level); hits
   skip compilation, survive restarts, and are shared across clients.
+  Behind it sits the in-memory pass memo, consulted only on a miss.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   service facade and the handle fuzzers hold instead of calling
-  ``Odin.rebuild()`` directly.
-* observability — the shared :class:`repro.obs.metrics.MetricsRegistry`
-  (queue depth, batch size, cache hit rate, per-stage latency
-  percentiles) and a shared :class:`repro.obs.tracer.Tracer`:
-  every rebuild's span tree nests under the dispatcher's
-  ``service.batch`` span, exportable with ``--trace-out`` /
-  ``repro trace --service``.
+  ``Odin.rebuild()`` directly.  A service is configured by its worker
+  pool, cache, fault handling, queue bound and an optional shared pass
+  memo; its poll interval, timeouts, cache budget and link-cache size
+  are constants of :mod:`repro.service.server`.
+* observability — each service's
+  :class:`repro.obs.metrics.MetricsRegistry` (queue depth, batch size,
+  cache hit rate, per-stage latency percentiles) and one
+  :class:`repro.obs.tracer.Tracer` shared by its targets: every
+  rebuild's span tree nests under the dispatcher's ``service.batch``
+  span, exportable with ``--trace-out`` / ``repro trace --service``.
 """
 
 from repro.obs.metrics import MetricsRegistry, format_stats
-from repro.service.cache import (
-    InMemoryCodeCache,
-    PersistentCodeCache,
-    fragment_content_key,
-)
+from repro.service.cache import InMemoryCodeCache, PersistentCodeCache
 from repro.service.client import ServiceClient
 from repro.service.jobs import (
     CompileRequest,
@@ -83,7 +83,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerError",
     "WorkerTimeoutError",
-    "fragment_content_key",
     "format_stats",
     "make_compiler",
 ]

@@ -31,27 +31,17 @@ from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.backend.machine import ObjectFile
-from repro.core.engine import fragment_content_key  # re-export for callers
-from repro.opt.memo import MemoEntry, memo_key  # re-export for callers
 
 __all__ = [
     "CodeCache",
     "InMemoryCodeCache",
     "PersistentCodeCache",
     "PassMemoCache",
-    "PersistentPassMemoCache",
-    "fragment_content_key",
-    "memo_key",
 ]
 
 
 class CodeCache:
     """Interface + shared bookkeeping: get/put with hit/miss accounting."""
-
-    # What a stored entry must unpickle to.  Subclasses reusing this
-    # machinery for other payloads (pass memoization) override it; the
-    # integrity check rejects anything else as corruption.
-    PAYLOAD_TYPE = ObjectFile
 
     def __init__(self):
         self.hits = 0
@@ -358,10 +348,8 @@ class PersistentCodeCache(CodeCache):
             ):
                 raise ValueError("stored entry bytes fail their checksum")
             obj = pickle.loads(payload)
-            if not isinstance(obj, self.PAYLOAD_TYPE):
-                raise pickle.UnpicklingError(
-                    f"stored entry is not a {self.PAYLOAD_TYPE.__name__}"
-                )
+            if not isinstance(obj, ObjectFile):
+                raise pickle.UnpicklingError("stored entry is not an ObjectFile")
         except Exception:
             # Unpickling corrupt bytes can raise almost anything
             # (EOFError, UnpicklingError, AttributeError, struct.error,
@@ -504,6 +492,7 @@ class PersistentCodeCache(CodeCache):
                 with open(self._index_path(), "w", encoding="utf-8") as fh:
                     json.dump(self._index_payload(stale), fh)
 
+
 class PassMemoCache(InMemoryCodeCache):
     """Tier-2 pass-memoization cache: optimized-IR snapshots, in memory.
 
@@ -515,16 +504,5 @@ class PassMemoCache(InMemoryCodeCache):
     runs; a hit skips optimization and pays only instruction selection.
     """
 
-    PAYLOAD_TYPE = MemoEntry
-
     def __init__(self, max_bytes: int = 32 * 1024 * 1024):
         super().__init__(max_bytes=max_bytes)
-
-
-class PersistentPassMemoCache(PersistentCodeCache):
-    """Pass memoization on disk: memoized middle-end runs survive
-    restarts and are shared by every service on the directory, with the
-    same checksummed index, quarantine and fault-degradation guarantees
-    as the persistent object cache."""
-
-    PAYLOAD_TYPE = MemoEntry

@@ -25,8 +25,9 @@ batch instead of failing every waiter, a
 fast (with a ``retry_after_s`` hint) once the engine keeps breaking,
 jobs carry optional deadlines and the queue a max depth (expired /
 overflow jobs are shed, never silently dropped), and shutdown drains
-under a finite ``drain_timeout_s`` — abandoned jobs are counted and
-answered with an error rather than left waiting forever.
+under a finite budget (``DRAIN_TIMEOUT_S`` unless ``stop()`` is given
+one) — abandoned jobs are counted and answered with an error rather
+than left waiting forever.
 
 ``RecompilationService`` can run its dispatcher on a background thread
 (``start()``/``stop()``, or as a context manager) or be stepped
@@ -73,9 +74,24 @@ from repro.service.resilience import (
     RetryPolicy,
     SupervisedCompiler,
 )
-from repro.service.workers import MODE_SERIAL, WorkerError, make_compiler
+from repro.service.workers import MODE_SERIAL, WorkerError
 
 log = logging.getLogger("repro.service")
+
+# Fixed for every service; none of these is a constructor value.
+CACHE_MAX_BYTES = 64 * 1024 * 1024  # a self-made code cache's budget
+LINK_CACHE_ENTRIES = 32             # linked executables kept per target
+POLL_INTERVAL_S = 0.02              # dispatcher idle poll and drain poll
+BATCH_TIMEOUT_S = 30.0              # longest a worker-pool batch may run
+DRAIN_TIMEOUT_S = 30.0              # stop()'s default drain budget
+
+
+def open_code_cache(cache_dir: Optional[str] = None) -> CodeCache:
+    """A fresh code cache of ``CACHE_MAX_BYTES``, on disk under
+    *cache_dir* when one is given, else in memory."""
+    if cache_dir is not None:
+        return PersistentCodeCache(cache_dir, max_bytes=CACHE_MAX_BYTES)
+    return InMemoryCodeCache(max_bytes=CACHE_MAX_BYTES)
 
 
 class ServiceError(ReproError):
@@ -97,7 +113,14 @@ class _Target:
 
 
 class RecompilationService:
-    """Long-running compile server for on-the-fly recompilation."""
+    """Long-running compile server for on-the-fly recompilation.
+
+    Settable: the worker pool (``workers``, ``worker_mode``), the code
+    cache (a shared ``cache`` or a ``cache_dir`` to persist one in),
+    fault handling (``retry_policy``, ``breaker``), the operator's
+    backpressure bound (``queue_max_depth``) and an optional shared
+    ``pass_memo``.  Everything else is a module constant.
+    """
 
     def __init__(
         self,
@@ -106,75 +129,40 @@ class RecompilationService:
         worker_mode: str = MODE_SERIAL,
         cache: Optional[CodeCache] = None,
         cache_dir: Optional[str] = None,
-        cache_max_bytes: int = 64 * 1024 * 1024,
-        link_cache_entries: int = 32,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        poll_interval_s: float = 0.02,
-        supervise: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        batch_timeout_s: Optional[float] = 30.0,
         queue_max_depth: Optional[int] = None,
-        drain_timeout_s: float = 30.0,
-        pass_memo: bool = True,
+        pass_memo: Optional[PassMemoCache] = None,
     ):
         if cache is not None and cache_dir is not None:
             raise ServiceError("pass either cache or cache_dir, not both")
-        if cache is None:
-            cache = (
-                PersistentCodeCache(cache_dir, max_bytes=cache_max_bytes)
-                if cache_dir is not None
-                else InMemoryCodeCache(max_bytes=cache_max_bytes)
-            )
-        self.cache = cache
-        # Tier-2 pass memoization, shared by every target and every rung
-        # of the degradation ladder: re-optimizing IR the service has
-        # already optimized (for any target/variant) costs isel only.
-        # ``pass_memo`` may also be a ready-made cache instance — the
-        # cluster mounts one memo (like one object cache) across every
-        # shard so cross-shard failovers keep their memoized middle end.
-        if pass_memo is None or pass_memo is False:
-            self.pass_memo = None
-        elif pass_memo is True:
-            self.pass_memo = PassMemoCache()
-        else:
-            self.pass_memo = pass_memo
-        self.metrics = metrics or MetricsRegistry()
+        self.cache = cache if cache is not None else open_code_cache(cache_dir)
+        # Pass memoization, shared by every target and every rung of the
+        # degradation ladder.  The cluster hands all of its shards one
+        # memo (like one object cache) so failovers keep it.
+        self.pass_memo = pass_memo if pass_memo is not None else PassMemoCache()
+        self.metrics = MetricsRegistry()
         # One tracer shared by every target engine and the dispatcher:
         # rebuild span trees nest under the dispatch ("service.batch")
         # spans of the thread that executed them.
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         self.retry_policy = retry_policy or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
-        if supervise:
-            self.compiler = SupervisedCompiler(
-                worker_mode,
-                workers,
-                retry=self.retry_policy,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                batch_timeout_s=batch_timeout_s,
-                memo=self.pass_memo,
-            )
-        else:
-            self.compiler = make_compiler(
-                worker_mode, workers, batch_timeout_s=batch_timeout_s,
-                memo=self.pass_memo,
-            )
-        self.link_cache_entries = link_cache_entries
+        self.compiler = SupervisedCompiler(
+            worker_mode,
+            workers,
+            retry=self.retry_policy,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            batch_timeout_s=BATCH_TIMEOUT_S,
+            memo=self.pass_memo,
+        )
         self.queue = JobQueue(max_depth=queue_max_depth, metrics=self.metrics)
-        self.poll_interval_s = poll_interval_s
-        self.drain_timeout_s = drain_timeout_s
         self._targets: Dict[str, _Target] = {}
         # Guards `_targets`: registrations race with dispatcher lookups.
         self._state_lock = threading.Lock()
         self._dispatcher: Optional[threading.Thread] = None
         self._running = threading.Event()
-        # Speculative precompilation: target name -> speculator, serviced
-        # only when the dispatcher finds the queue idle.
-        self._speculators: Dict[str, "ProbeStateSpeculator"] = {}
-        self.speculation_budget = 4
 
     # -- target management -----------------------------------------------------
 
@@ -191,7 +179,7 @@ class RecompilationService:
             module,
             object_cache=self.cache,
             compiler=self.compiler,
-            link_cache=LinkCache(self.link_cache_entries),
+            link_cache=LinkCache(LINK_CACHE_ENTRIES),
             **odin_kwargs,
         )
         with self._state_lock:
@@ -274,7 +262,7 @@ class RecompilationService:
         """Stop the dispatcher; returns how many jobs were left behind.
 
         With ``drain`` the queue is given up to ``drain_timeout_s``
-        (default: the service's ``drain_timeout_s``) to empty — shutdown
+        (default: ``DRAIN_TIMEOUT_S``) to empty — shutdown
         can no longer spin forever behind a wedged engine.  Jobs still
         queued or in flight when the deadline passes are *abandoned*:
         counted (``drain_abandoned``), logged, and left queued so a
@@ -283,11 +271,11 @@ class RecompilationService:
         """
         if self._dispatcher is None:
             return 0
-        budget = self.drain_timeout_s if drain_timeout_s is None else drain_timeout_s
+        budget = DRAIN_TIMEOUT_S if drain_timeout_s is None else drain_timeout_s
         deadline = time.monotonic() + budget
         if drain:
             while self.queue.depth() and time.monotonic() < deadline:
-                time.sleep(self.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
         self._running.clear()
         self._dispatcher.join(timeout=max(deadline - time.monotonic(), budget / 2))
         stuck = self._dispatcher.is_alive()
@@ -311,9 +299,7 @@ class RecompilationService:
             job.set_error(
                 ServiceError("service closed before this job was dispatched")
             )
-        close = getattr(self.compiler, "close", None)
-        if close is not None:
-            close()
+        self.compiler.close()
         # Persist any deferred LRU ticks (persistent cache only).
         flush = getattr(self.cache, "flush", None)
         if flush is not None:
@@ -328,66 +314,10 @@ class RecompilationService:
     def _dispatch_loop(self) -> None:
         while self._running.is_set():
             try:
-                served = self.process_once(timeout=self.poll_interval_s)
-                if served == 0:
-                    # Idle lane: warm the cache for predicted probe
-                    # states.  Real jobs always win — speculation only
-                    # runs when a poll interval passed with no work.
-                    self.run_speculation()
+                self.process_once(timeout=POLL_INTERVAL_S)
             except Exception:  # keep the dispatcher alive, whatever happens
                 self.metrics.inc("dispatcher_errors")
                 log.exception("dispatcher error; continuing")
-
-    # -- speculative precompilation --------------------------------------------
-
-    def attach_speculator(
-        self, target: str, *, top_k: int = 3, max_states: int = 4
-    ) -> "ProbeStateSpeculator":
-        """Create and register a speculator for *target*'s engine.
-
-        Feed it corpus observations (``speculator.observe_corpus``); the
-        dispatcher services its predictions whenever the job queue goes
-        idle.  Returns the speculator (also reachable via
-        ``service.speculator(target)``).
-        """
-        from repro.service.speculate import ProbeStateSpeculator
-
-        entry = self._target(target)
-        speculator = ProbeStateSpeculator(
-            entry.engine, top_k=top_k, max_states=max_states
-        )
-        with self._state_lock:
-            self._speculators[target] = speculator
-        return speculator
-
-    def speculator(self, target: str) -> Optional["ProbeStateSpeculator"]:
-        with self._state_lock:
-            return self._speculators.get(target)
-
-    def run_speculation(self, budget: Optional[int] = None) -> int:
-        """Service pending predictions; returns fragments precompiled.
-
-        Backpressure: refuses to speculate while real jobs are queued,
-        and each target's engine lock is taken so speculation can never
-        interleave with a live rebuild of the same target.
-        """
-        if self.queue.depth():
-            return 0
-        budget = self.speculation_budget if budget is None else budget
-        with self._state_lock:
-            speculators = list(self._speculators.items())
-        compiled = 0
-        for target, speculator in speculators:
-            if speculator.pending() == 0:
-                continue
-            if self.queue.depth():  # a real job arrived mid-sweep
-                break
-            entry = self._target(target)
-            with entry.lock:
-                compiled += speculator.precompile(budget)
-        if compiled:
-            self.metrics.inc("speculative_compiles", compiled)
-        return compiled
 
     # -- batch execution -------------------------------------------------------
 
@@ -523,7 +453,6 @@ class RecompilationService:
         m.inc("cache_misses", compiled)
         m.inc("fragments_patched", report.patched)
         m.inc("memo_hits", report.memo_hits)
-        m.inc("speculative_hits", report.speculative_hits)
         m.inc(f"rebuild_tier.{report.tier}")
         m.inc("probes_applied", report.probes_applied)
         if report.link_reused:
@@ -542,8 +471,7 @@ class RecompilationService:
         """The ``stats()`` endpoint: metrics + cache + queue snapshot."""
         snapshot = self.metrics.stats()
         snapshot["code_cache"] = self.cache.stats()
-        if self.pass_memo is not None:
-            snapshot["pass_memo"] = self.pass_memo.stats()
+        snapshot["pass_memo"] = self.pass_memo.stats()
         # Single-lock snapshot: the queue dict used to be assembled from
         # seven independent reads and could tear mid-update (a shed
         # between reads made shed_total != shed_expired + shed_overflow).
@@ -555,20 +483,10 @@ class RecompilationService:
             "targets": targets,
             "workers": self.compiler.workers,
             "running": self._dispatcher is not None,
+            "compiler": self.compiler.stats(),
         }
-        compiler_stats = getattr(self.compiler, "stats", None)
-        if compiler_stats is not None:
-            snapshot["service"]["compiler"] = compiler_stats()
         snapshot["breaker"] = self.breaker.stats()
-        link_stats = {}
-        for name, entry in entries:
-            if entry.engine.link_cache is not None:
-                link_stats[name] = entry.engine.link_cache.stats()
-        snapshot["link_cache"] = link_stats
-        with self._state_lock:
-            speculators = list(self._speculators.items())
-        if speculators:
-            snapshot["speculation"] = {
-                name: spec.stats() for name, spec in speculators
-            }
+        snapshot["link_cache"] = {
+            name: entry.engine.link_cache.stats() for name, entry in entries
+        }
         return snapshot

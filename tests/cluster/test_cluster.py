@@ -96,6 +96,21 @@ class TestSharedCacheTier:
         finally:
             cluster.close()
 
+    def test_fixed_settings(self):
+        """What a caller cannot set: a 64 MiB shared cache,
+        single-worker serial shards, 32 ring points per shard and a
+        0.25 degraded bulk factor."""
+        cluster = make_cluster()
+        try:
+            assert cluster.cache.max_bytes == 64 * 1024 * 1024
+            assert cluster.ring.virtual_nodes == 32
+            assert cluster.tenants.degraded_bulk_factor == 0.25
+            for shard in cluster.shards.values():
+                assert shard.service.compiler.requested_mode == "serial"
+                assert shard.service.compiler.requested_workers == 1
+        finally:
+            cluster.close()
+
 
 class TestRequestPath:
     def test_rebuild_round_trip(self):

@@ -1,4 +1,4 @@
-"""Pass memoization: keys, replay equivalence, payload integrity.
+"""Pass memoization: keys, replay equivalence, the memo's size budget.
 
 The tier-2 contract: memoizing optimized IR on (input-IR fingerprint,
 pass-pipeline identity) must be invisible in the artifacts — a memo-hit
@@ -14,11 +14,7 @@ from repro.frontend.codegen import compile_source
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.opt.memo import MemoEntry, memo_key, pipeline_identity
-from repro.service.cache import (
-    PassMemoCache,
-    PersistentCodeCache,
-    PersistentPassMemoCache,
-)
+from repro.service.cache import PassMemoCache
 
 SOURCE = r"""
 int work(int x) {
@@ -105,23 +101,6 @@ class TestMemoReplay:
 
 
 class TestMemoPayloadIntegrity:
-    def test_persistent_memo_roundtrip(self, tmp_path):
-        cache = PersistentPassMemoCache(str(tmp_path))
-        entry = MemoEntry("define i32 @f() {\nentry:\n  ret i32 0\n}\n", ())
-        cache.put("k", entry)
-        got = PersistentPassMemoCache(str(tmp_path)).get("k")
-        assert got is not None
-        assert got.ir_text == entry.ir_text
-
-    def test_wrong_payload_type_degrades_to_miss(self, tmp_path):
-        """An ObjectFile store read as a memo is quarantined, not served."""
-        objects = PersistentCodeCache(str(tmp_path))
-        obj = compile_fragment(fragment(), 2, True)
-        objects.put("k", obj)
-        memos = PersistentPassMemoCache(str(tmp_path))
-        assert memos.get("k") is None
-        assert memos.integrity_failures == 1
-
     def test_in_memory_memo_shares_budget_machinery(self):
         memo = PassMemoCache(max_bytes=1)
         memo.put("k", MemoEntry("x" * 64, ()))

@@ -5,6 +5,7 @@ import pytest
 from repro.backend.machine import DataSymbol, MachineFunction, MachineInst, ObjectFile
 from repro.core.engine import Odin, fragment_content_key
 from repro.instrument.coverage import OdinCov
+from repro.opt.memo import MemoEntry
 from repro.programs.registry import get_program
 from repro.service.cache import InMemoryCodeCache, PersistentCodeCache
 
@@ -317,6 +318,21 @@ class TestSelfHealing:
         cache.inject_fault("delete-obj", key="k")
         assert cache.get("k") is None  # nothing left to move; still a miss
         assert cache.quarantined == 1
+
+    def test_wrong_payload_type_degrades_to_miss(self, tmp_path):
+        """An entry whose bytes pass their checksum but unpickle to
+        something other than an ObjectFile (here a pass-memo snapshot)
+        is quarantined and served as a miss, never returned."""
+        PersistentCodeCache(str(tmp_path)).put(
+            "k", MemoEntry("define i32 @f() {\nentry:\n  ret i32 0\n}\n")
+        )
+        cache = PersistentCodeCache(str(tmp_path))
+        assert cache.get("k") is None
+        assert cache.misses == 1
+        assert cache.integrity_failures == 1
+        assert cache.quarantined == 1
+        assert (tmp_path / "quarantine" / "k.obj").exists()
+        assert cache.keys() == []
 
     def test_keys_lists_stored_keys_sorted(self, tmp_path):
         cache = PersistentCodeCache(str(tmp_path))

@@ -373,7 +373,7 @@ class TestProcessNameFidelity:
         engine.initial_build()
         for probe in list(engine.manager):
             engine.manager.mark_changed(probe)
-        sched = Scheduler(engine, engine.manager)
+        sched = Scheduler(engine)
         assert sched.changed_fragments
         for fragment in sched.changed_fragments:
             extracted = engine._split_fragment(sched.temp_module, fragment)

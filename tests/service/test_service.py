@@ -5,13 +5,16 @@ import threading
 import pytest
 
 from repro.core.engine import Odin, compile_makespan
+from repro.frontend.codegen import compile_source
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import get_program
 from repro.service import (
     ProbeOp,
     RecompilationService,
     ServiceError,
+    SupervisedCompiler,
 )
+from repro.service.cache import InMemoryCodeCache, PassMemoCache
 from repro.service.jobs import OP_DISABLE
 from repro.service.workers import (
     ProcessFragmentCompiler,
@@ -291,6 +294,26 @@ class TestWorkerPool:
                 assert [repr(i) for i in a.functions[name].insts] == [
                     repr(i) for i in b.functions[name].insts
                 ]
+
+
+class TestFixedSettings:
+    def test_fixed_settings(self):
+        """What a caller cannot set: a 64 MiB in-memory cache, a
+        supervised pool with a 30 s batch deadline, a pass memo of the
+        service's own, 32 link-cache entries per target."""
+        service = RecompilationService()
+        try:
+            assert isinstance(service.cache, InMemoryCodeCache)
+            assert service.cache.max_bytes == 64 * 1024 * 1024
+            assert isinstance(service.compiler, SupervisedCompiler)
+            assert service.compiler.batch_timeout_s == 30.0
+            assert isinstance(service.pass_memo, PassMemoCache)
+            engine = service.register_target(
+                "tiny", compile_source("int main(void) { return 0; }", "tiny")
+            )
+            assert engine.link_cache.max_entries == 32
+        finally:
+            service.close()
 
 
 class TestFuzzIntegration:
