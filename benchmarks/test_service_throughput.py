@@ -94,7 +94,7 @@ def run_workload(workers: int, worker_mode: str) -> dict:
 def test_service_throughput(benchmark):
     serial = run_workload(workers=1, worker_mode="serial")
     pooled = benchmark.pedantic(
-        run_workload, args=(4, "thread"), rounds=1, iterations=1
+        run_workload, args=(4, "process"), rounds=1, iterations=1
     )
 
     # The workload is deterministic, so both runs see the same requests.

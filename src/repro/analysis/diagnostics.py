@@ -59,7 +59,3 @@ class Diagnostic:
 
 def errors_of(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
     return [d for d in diagnostics if d.is_error]
-
-
-def format_diagnostics(diagnostics: List[Diagnostic]) -> str:
-    return "\n".join(str(d) for d in diagnostics)

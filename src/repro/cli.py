@@ -785,7 +785,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument("--workers", type=int, default=2)
     p_fuzz.add_argument(
-        "--mode", default="thread", choices=("serial", "thread", "process")
+        "--mode", default="process", choices=("serial", "process")
     )
     p_fuzz.add_argument(
         "--trace-out", default=None,
@@ -842,7 +842,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--workers", type=int, default=1)
     p_check.add_argument(
-        "--mode", default="serial", choices=("serial", "thread", "process")
+        "--mode", default="serial", choices=("serial", "process")
     )
     p_check.add_argument(
         "--tiers", action="store_true",
@@ -905,7 +905,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="corpus inputs per behaviour comparison")
     p_chaos.add_argument("--workers", type=int, default=2)
     p_chaos.add_argument(
-        "--mode", default="process", choices=("serial", "thread", "process")
+        "--mode", default="process", choices=("serial", "process")
     )
     p_chaos.add_argument("--report-json", default=None,
                          help="write the machine-readable chaos report here")
@@ -955,7 +955,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--flips", type=int, default=8)
     p_serve.add_argument("--workers", type=int, default=2)
     p_serve.add_argument(
-        "--mode", default="thread", choices=("serial", "thread", "process")
+        "--mode", default="process", choices=("serial", "process")
     )
     p_serve.add_argument("--cache-dir", default=None)
     p_serve.add_argument("--seed", type=int, default=1)
@@ -988,7 +988,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("--workers", type=int, default=2)
     p_trace.add_argument(
-        "--mode", default="thread", choices=("serial", "thread", "process")
+        "--mode", default="process", choices=("serial", "process")
     )
     p_trace.set_defaults(fn=cmd_trace)
 

@@ -26,7 +26,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from repro.errors import ReproError
 
@@ -128,11 +128,6 @@ class TenantAccountant:
     def spec(self, tenant_id: str) -> TenantSpec:
         with self._lock:
             return self._state(tenant_id).spec
-
-    @property
-    def tenant_ids(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._tenants))
 
     # -- degraded mode --------------------------------------------------------
 

@@ -80,13 +80,13 @@ _TIER_RANK = (TIER_FULL, TIER_MEMO, TIER_CACHE, TIER_PATCH, TIER_NOOP)
 
 
 def compile_fragment(
-    frag_module: Module, opt_level: int = 2, verify: bool = True,
-    sanitize: bool = False, canonicalize: bool = True, memo=None,
+    frag_module: Module, opt_level: int = 2, sanitize: bool = False,
+    canonicalize: bool = True, memo=None,
 ) -> ObjectFile:
     """Optimize (post-instrumentation) and lower one fragment module.
 
-    Pure, so it can run on any worker — the engine's inline path, a
-    thread pool, or a forked process.
+    Pure, so it can run on any worker — the engine's inline path or a
+    forked process.
 
     ``canonicalize`` (the default) first round-trips the module through
     its printed text, making the object bytes a function of the
@@ -129,13 +129,12 @@ def compile_fragment(
         entry = memo.get(key)
         if entry is not None:
             return _replay_memo_entry(
-                entry, frag_module.name, verify, sanitize,
+                entry, frag_module.name, sanitize,
                 isel_ms=pre_opt_cost - opt_model_ms, real_start=real_start,
             )
 
     ctx = optimize(frag_module, opt_level, sanitize_each=sanitize)
-    if verify:
-        verify_module(frag_module)
+    verify_module(frag_module)
     if key is not None:
         from repro.opt.memo import MemoEntry
 
@@ -146,8 +145,7 @@ def compile_fragment(
             tuple(ctx.diagnostics) if sanitize else (),
         ))
     obj = lower_module(frag_module)
-    if verify:
-        verify_module(frag_module)  # lowering must not break the IR
+    verify_module(frag_module)  # lowering must not break the IR
     obj.compile_ms = pre_opt_cost
     # Observability: how this compile's simulated cost decomposes into
     # optimize (split across passes by charged work) and isel/regalloc.
@@ -164,15 +162,13 @@ def compile_fragment(
 
 
 def _replay_memo_entry(
-    entry, name: str, verify: bool, sanitize: bool, *,
-    isel_ms: float, real_start: float,
+    entry, name: str, sanitize: bool, *, isel_ms: float, real_start: float,
 ) -> ObjectFile:
     """Lower a memoized optimized-IR snapshot: the tier-2 fast path."""
     from repro.ir.parser import parse_module
 
     replay = parse_module(entry.ir_text, name)
-    if verify:
-        verify_module(replay)
+    verify_module(replay)
     obj = lower_module(replay)
     obj.compile_ms = isel_ms
     obj.stage_breakdown = {
@@ -216,8 +212,8 @@ def _allocate_pass_ms(opt_ms: float, timings) -> List[Tuple[str, float, float]]:
 
 
 def compile_fragment_text(
-    ir_text: str, opt_level: int = 2, verify: bool = True,
-    sanitize: bool = False, name: str = "parsed",
+    ir_text: str, opt_level: int = 2, sanitize: bool = False,
+    name: str = "parsed",
 ) -> ObjectFile:
     """Process-pool entry point: parse shipped IR text, then compile.
 
@@ -233,7 +229,7 @@ def compile_fragment_text(
     from repro.ir.parser import parse_module
 
     return compile_fragment(
-        parse_module(ir_text, name), opt_level, verify, sanitize,
+        parse_module(ir_text, name), opt_level, sanitize,
         # The text shipped here *is* the canonical form; skip the
         # redundant second round trip.
         canonicalize=False,
@@ -374,10 +370,6 @@ class RebuildReport:
         return sum(self.fragment_compile_ms.values())
 
     @property
-    def worst_fragment_ms(self) -> float:
-        return max(self.fragment_compile_ms.values(), default=0.0)
-
-    @property
     def total_ms(self) -> float:
         return self.total_compile_ms + self.link_ms
 
@@ -406,10 +398,10 @@ class InlineFragmentCompiler:
         self.memo = memo
 
     def compile_batch(
-        self, modules: List[Module], opt_level: int, verify: bool
+        self, modules: List[Module], opt_level: int
     ) -> List[ObjectFile]:
         return [
-            compile_fragment(m, opt_level, verify, self.sanitize, memo=self.memo)
+            compile_fragment(m, opt_level, self.sanitize, memo=self.memo)
             for m in modules
         ]
 
@@ -424,7 +416,6 @@ class Odin:
         strategy: str = STRATEGY_ODIN,
         preserve: Iterable[str] = ("main",),
         opt_level: int = 2,
-        verify: bool = True,
         object_cache=None,
         compiler=None,
         link_cache: Optional["LinkCache"] = None,
@@ -435,11 +426,9 @@ class Odin:
         enable_patching: bool = True,
         pass_memo=None,
     ):
-        if verify:
-            verify_module(module)
+        verify_module(module)
         self.module = module          # original, unoptimized whole-program IR
         self.opt_level = opt_level
-        self.verify = verify
         # Debug builds: run the probe-integrity sanitizer inside every
         # fragment compile; findings accumulate on the engine and on each
         # RebuildReport.  (A custom `compiler` must opt in itself.)
@@ -621,7 +610,7 @@ class Odin:
         compile_real_start = time.perf_counter()
         if misses:
             compiled = self.compiler.compile_batch(
-                [entry[1] for entry in misses], self.opt_level, self.verify
+                [entry[1] for entry in misses], self.opt_level
             )
             for entry, obj in zip(misses, compiled):
                 entry[3] = obj

@@ -12,7 +12,7 @@ fuzzer's patch logic drives to rebuild the executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, TypeVar
 
 from repro.core.probe import Probe
 from repro.errors import ScheduleError
@@ -90,9 +90,6 @@ class PatchManager:
             return self._probes[probe_id]
         except KeyError:
             raise ScheduleError(f"no probe with id {probe_id}") from None
-
-    def probes_for_symbol(self, symbol: str) -> List[Probe]:
-        return [p for p in self._probes.values() if p.target_symbol() == symbol]
 
     # -- mutation ------------------------------------------------------------------
 

@@ -119,10 +119,6 @@ class ProbeSet:
     def symbols(self) -> Set[str]:
         return {p.target_symbol() for p in self._probes.values()}
 
-    def enabled_state(self) -> Dict[int, bool]:
-        """Snapshot of every probe's enabled flag (probe-state diffs)."""
-        return {pid: p.enabled for pid, p in self._probes.items()}
-
     # -- probe-state mutation ----------------------------------------------------
 
     def set_symbol_enabled(self, symbol: str, enabled: bool) -> int:

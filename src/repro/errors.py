@@ -46,10 +46,6 @@ class FrontendError(ReproError):
         super().__init__(message)
 
 
-class OptError(ReproError):
-    """An optimization pass failed an internal invariant."""
-
-
 class BackendError(ReproError):
     """Instruction selection or register allocation failed."""
 

@@ -54,11 +54,6 @@ class OverheadSummary:
     def mean_normalized(self, tool: str) -> float:
         return geometric_mean([row.normalized(tool) for row in self.rows])
 
-    def overhead_ratio(self, tool_a: str, tool_b: str) -> float:
-        """How many times larger tool_a's median overhead is than tool_b's."""
-        b = self.median_overhead(tool_b)
-        return self.median_overhead(tool_a) / b if b else float("inf")
-
 
 def measure_overheads(
     programs: Optional[List[TargetProgram]] = None,

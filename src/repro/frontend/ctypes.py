@@ -36,9 +36,6 @@ class CType:
     def is_array(self) -> bool:
         return isinstance(self, CArray)
 
-    def is_scalar(self) -> bool:
-        return self.is_integer() or self.is_pointer()
-
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self._key() == other._key()
 

@@ -61,12 +61,6 @@ class IRBuilder:
         self._block = block
         self._anchor = None
 
-    def position_before(self, inst: Instruction) -> None:
-        if inst.parent is None:
-            raise IRError("cannot position builder at a detached instruction")
-        self._block = inst.parent
-        self._anchor = inst
-
     @property
     def block(self) -> BasicBlock:
         if self._block is None:

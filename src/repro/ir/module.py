@@ -286,14 +286,5 @@ class Module:
                     break
         return out
 
-    def references_to(self, name: str) -> List[Function]:
-        """Functions referencing @name in any operand position."""
-        target = self.get(name)
-        out = []
-        for fn in self.defined_functions():
-            if any(g is target for g in fn.referenced_globals()):
-                out.append(fn)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Module {self.name} ({len(self.symbols)} symbols)>"

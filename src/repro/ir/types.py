@@ -77,8 +77,9 @@ class IntType(Type):
             obj = super().__new__(cls)
             obj.bits = bits
             # setdefault keeps interning race-free when fragment compiles
-            # run on a thread pool: the first insert wins, every thread
-            # sees the same object, and equality stays identity.
+            # run on concurrent service or shard dispatcher threads: the
+            # first insert wins, every thread sees the same object, and
+            # equality stays identity.
             hit = cls._cache.setdefault(bits, obj)
         return hit
 

@@ -57,9 +57,6 @@ class VariantExecutable(Executable):
     def default_family(self) -> str:
         return self.families[0] if self.families else ""
 
-    def function_name(self, index: int) -> str:
-        return self.functions[index].name
-
     def dispatch(self, index: int, family: str) -> int:
         """Merged index of *family*'s variant of the function at *index*.
 

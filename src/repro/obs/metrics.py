@@ -171,9 +171,6 @@ class MetricsRegistry:
         }
         return snapshot
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.stats(), indent=indent, sort_keys=True)
-
 
 def format_stats(stats: dict) -> str:
     """Human-readable rendering of a ``stats()`` snapshot."""

@@ -53,12 +53,13 @@ def pipeline_identity(opt_level: int, sanitize: bool = False) -> str:
     the real pipeline objects so pipeline changes invalidate old entries
     automatically.
     """
+    from repro.opt.pass_manager import MAX_FIXPOINT_ITERS
     from repro.opt.pipeline import o0_pipeline, o2_pipeline
 
     if opt_level == 0:
         pm, fixpoint = o0_pipeline(), 0
     else:
-        pm, fixpoint = o2_pipeline(), 4
+        pm, fixpoint = o2_pipeline(), MAX_FIXPOINT_ITERS
     names = ",".join(type(p).__name__ for p in pm.passes)
     return f"o{opt_level}:[{names}]:fixpoint={fixpoint}:sanitize={int(sanitize)}"
 

@@ -29,6 +29,9 @@ if False:  # pragma: no cover - typing only, avoids loading analysis eagerly
 REQ_BOND = "bond"
 REQ_COPY_ON_USE = "copy_on_use"
 
+#: Iteration bound of the -O2 fixpoint loop (``optimize(level=2)``).
+MAX_FIXPOINT_ITERS = 4
+
 
 @dataclass(frozen=True)
 class Requirement:
@@ -175,7 +178,8 @@ class PassManager:
         return ctx
 
     def run_until_fixpoint(
-        self, module: Module, ctx: Optional[OptContext] = None, max_iters: int = 4
+        self, module: Module, ctx: Optional[OptContext] = None,
+        max_iters: int = MAX_FIXPOINT_ITERS,
     ) -> OptContext:
         """Repeat the pipeline until no pass reports changes (bounded)."""
         ctx = ctx or OptContext()

@@ -25,7 +25,9 @@ from repro.opt.internalize import GlobalDCE, Internalize
 from repro.opt.jump_threading import JumpThreading
 from repro.opt.loop_unroll import LoopUnroll
 from repro.opt.mem2reg import PromoteMem2Reg
-from repro.opt.pass_manager import OptContext, Pass, PassManager, Requirement
+from repro.opt.pass_manager import (
+    MAX_FIXPOINT_ITERS, OptContext, Pass, PassManager, Requirement,
+)
 from repro.opt.simplifycfg import SimplifyCFG
 
 
@@ -77,7 +79,7 @@ def optimize(module: Module, level: int = 2, *, verify_each: bool = False,
     if level == 0:
         pm.run(module, ctx)
     else:
-        pm.run_until_fixpoint(module, ctx, max_iters=4)
+        pm.run_until_fixpoint(module, ctx, max_iters=MAX_FIXPOINT_ITERS)
     return ctx
 
 

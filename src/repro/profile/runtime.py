@@ -106,10 +106,6 @@ class ProfilingRuntime(ProbeRuntime):
         self.symbol_of[probe_id] = symbol
         self.kind_of[probe_id] = kind
 
-    def forget_probe(self, probe_id: int) -> None:
-        self.symbol_of.pop(probe_id, None)
-        self.kind_of.pop(probe_id, None)
-
     # -- event handling ---------------------------------------------------------
 
     def on_probe(

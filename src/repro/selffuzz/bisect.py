@@ -1,10 +1,10 @@
 """Pass-level replay and bisection for the selffuzz harness.
 
 The -O2 pipeline is a *fixpoint loop* over a fixed pass list
-(:func:`repro.opt.pipeline.optimize` runs ``run_until_fixpoint`` with
-``max_iters=4``), so "the pipeline" is really a deterministic sequence of
-pass **invocations** — pass P at iteration K.  This module owns that
-flattening:
+(:func:`repro.opt.pipeline.optimize` runs ``run_until_fixpoint`` for at
+most ``MAX_FIXPOINT_ITERS`` iterations), so "the pipeline" is really a
+deterministic sequence of pass **invocations** — pass P at iteration K.
+This module owns that flattening:
 
 * :func:`run_o2_with_attribution` replays the exact fixpoint schedule on
   a module, verifying (and optionally probe-sanitizing) after every
@@ -29,11 +29,8 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.opt.pass_manager import OptContext, Pass
+from repro.opt.pass_manager import MAX_FIXPOINT_ITERS, OptContext, Pass
 from repro.opt.pipeline import o2_pipeline
-
-#: Mirrors ``optimize(level=2)``: bounded fixpoint over the -O2 pipeline.
-MAX_FIXPOINT_ITERS = 4
 
 PipelineFactory = Callable[[], Sequence[Pass]]
 
@@ -75,7 +72,6 @@ def run_o2_with_attribution(
     pipeline: Optional[PipelineFactory] = None,
     sanitizer=None,
     max_invocations: Optional[int] = None,
-    max_iters: int = MAX_FIXPOINT_ITERS,
 ) -> List[PassInvocation]:
     """Run the -O2 fixpoint schedule on *module* (in place), checking after
     every invocation.
@@ -90,7 +86,7 @@ def run_o2_with_attribution(
     passes = list((pipeline or default_pipeline)())
     ctx = OptContext()
     schedule: List[PassInvocation] = []
-    for iteration in range(max_iters):
+    for iteration in range(MAX_FIXPOINT_ITERS):
         any_change = False
         for p in passes:
             if max_invocations is not None and len(schedule) >= max_invocations:
@@ -127,12 +123,9 @@ def apply_o2_prefix(
     k: int,
     *,
     pipeline: Optional[PipelineFactory] = None,
-    max_iters: int = MAX_FIXPOINT_ITERS,
 ) -> List[PassInvocation]:
     """Apply exactly the first *k* invocations of the -O2 schedule."""
-    return run_o2_with_attribution(
-        module, pipeline=pipeline, max_invocations=k, max_iters=max_iters
-    )
+    return run_o2_with_attribution(module, pipeline=pipeline, max_invocations=k)
 
 
 @dataclass(frozen=True)

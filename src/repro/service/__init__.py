@@ -8,7 +8,7 @@ in one, structured like an inference server:
   requests per target are **batched** and **deduplicated** (one rebuild,
   one compile per dirty fragment, no matter how many clients asked).
 * :mod:`repro.service.workers` — **parallel fragment compile pool**
-  (serial / thread / process); independent fragments of a batch no
+  (serial / process); independent fragments of a batch no
   longer serialize behind the worst one.
 * :mod:`repro.service.cache` — **persistent content-addressed code
   cache** keyed by hash(fragment IR + probe state + opt level); hits
@@ -51,7 +51,6 @@ from repro.service.server import RecompilationService, ServiceError
 from repro.service.workers import (
     MODE_PROCESS,
     MODE_SERIAL,
-    MODE_THREAD,
     WorkerCrashError,
     WorkerError,
     WorkerTimeoutError,
@@ -69,7 +68,6 @@ __all__ = [
     "Job",
     "MODE_PROCESS",
     "MODE_SERIAL",
-    "MODE_THREAD",
     "MetricsRegistry",
     "PersistentCodeCache",
     "ProbeOp",

@@ -16,8 +16,8 @@ millisecond.  This module is the service's answer — degrade, never die:
   fragment pools of :mod:`repro.service.workers`: a
   :class:`~repro.service.workers.WorkerError` (crash or hang) tears the
   pool down, rebuilds it and retries the batch; when a rung keeps
-  failing the ladder escalates ``process -> thread -> serial`` (PartiSan
-  style: degrade capacity, preserve correctness).  Because
+  failing the ladder escalates ``process -> serial`` (PartiSan style:
+  degrade capacity, preserve correctness).  Because
   ``compile_fragment`` consumes its module in place, every batch is
   snapshotted as printed IR before the first attempt and retries re-parse
   pristine copies — a half-optimized module can never be compiled twice.
@@ -40,7 +40,6 @@ from repro.ir.module import Module
 from repro.service.workers import (
     MODE_PROCESS,
     MODE_SERIAL,
-    MODE_THREAD,
     WorkerError,
     make_compiler,
 )
@@ -238,8 +237,7 @@ class CircuitBreaker:
 # Requested mode -> rungs tried in order.  Serial inline is the floor:
 # it cannot crash or hang (no pool), only surface real compile errors.
 DEGRADATION_LADDERS = {
-    MODE_PROCESS: (MODE_PROCESS, MODE_THREAD, MODE_SERIAL),
-    MODE_THREAD: (MODE_THREAD, MODE_SERIAL),
+    MODE_PROCESS: (MODE_PROCESS, MODE_SERIAL),
     MODE_SERIAL: (MODE_SERIAL,),
 }
 
@@ -257,7 +255,7 @@ class SupervisedCompiler:
        pristine IR snapshot, backing off per the :class:`RetryPolicy`;
     2. **degrade** — a rung that exhausts its retries is closed for good
        and the next rung takes over (``degraded_mode`` gauge: rung
-       index); process pools fall back to threads, threads to serial;
+       index); a process pool falls back to the serial floor;
     3. **surface** — only when the serial floor itself fails does the
        error propagate (it is then a real compile error, not a fault).
 
@@ -293,9 +291,8 @@ class SupervisedCompiler:
         self.tracer = tracer
         self.batch_timeout_s = batch_timeout_s
         self.fault_injector = fault_injector
-        # Pass-memoization cache shared by every rung that can use it
-        # (serial/thread; process rungs compile memo-less).  Degrading a
-        # rung therefore never loses memoized middle-end work.
+        # Pass-memoization cache handed to every rung; only the serial
+        # rung consults it (process rungs compile memo-less).
         self.memo = memo
         self._sleep = sleep
         self._rung = 0
@@ -343,7 +340,7 @@ class SupervisedCompiler:
     # -- compilation -----------------------------------------------------------
 
     def compile_batch(
-        self, modules: List[Module], opt_level: int, verify: bool
+        self, modules: List[Module], opt_level: int
     ) -> List[ObjectFile]:
         with self._lock:
             # ``compile_fragment`` rewrites its module in place, so a
@@ -365,7 +362,7 @@ class SupervisedCompiler:
                     try:
                         if self.fault_injector is not None:
                             self.fault_injector(self, batch, attempt)
-                        return compiler.compile_batch(batch, opt_level, verify)
+                        return compiler.compile_batch(batch, opt_level)
                     except WorkerError as error:
                         last_error = error
                         self._note_restart(compiler, error, attempt)

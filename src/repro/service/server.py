@@ -18,7 +18,7 @@ persistent, so warm state survives restarts) and fragment compile pool.
 
 Fault tolerance (``repro.service.resilience``): the fragment pool runs
 under a :class:`~repro.service.resilience.SupervisedCompiler` (restart,
-retry with seeded backoff, process→thread→serial degradation ladder),
+retry with seeded backoff, process→serial degradation ladder),
 transient :class:`~repro.service.workers.WorkerError`s retry the merged
 batch instead of failing every waiter, a
 :class:`~repro.service.resilience.CircuitBreaker` fails new submissions

@@ -5,29 +5,28 @@ module and lowered to its own object file), so a rebuild's cache-miss
 batch can fan out across workers: Fig. 12's worst-case fragment no
 longer serializes the whole batch behind it.
 
-Three pool flavours, all order-preserving (results come back in batch
-order regardless of completion order, which keeps reports and the
-simulated clock deterministic for any worker count):
+Two modes, both order-preserving (results come back in batch order
+regardless of completion order, which keeps reports and the simulated
+clock deterministic for any worker count):
 
 * ``serial``  — in-process loop; byte-identical to the classic engine.
-* ``thread``  — ``concurrent.futures.ThreadPoolExecutor``; fragments
-  compile concurrently in-process (type interning is thread-safe, see
-  ``repro.ir.types``).
 * ``process`` — ``ProcessPoolExecutor``; fragment IR is shipped as
   printed text (module graphs hold interned types that must not cross
   process boundaries) and re-parsed in the worker, the same canonical
   text content addressing hashes.
 
-Both pool flavours supervise their batches: an optional
+The pool uses processes, not threads: compiling is CPU-bound Python,
+which threads would run one at a time under the interpreter lock.
+
+The process pool supervises its batches: an optional
 ``batch_timeout_s`` bounds how long a batch may run (a hung worker
 raises :class:`WorkerTimeoutError` instead of blocking the rebuild
 forever), a broken pool raises :class:`WorkerCrashError`, and when any
 fragment fails the outstanding futures are cancelled so the batch errors
 promptly.  After either infrastructure fault the pool is torn down
-(:meth:`restart`) and lazily rebuilt — hung process workers are
-terminated; a hung thread cannot be killed, so its pool is abandoned and
-replaced.  :class:`repro.service.resilience.SupervisedCompiler` builds
-the retry/degradation ladder on top of these primitives.
+(:meth:`ProcessFragmentCompiler.restart`), its workers terminated, and
+it is lazily rebuilt.  :class:`repro.service.resilience.SupervisedCompiler`
+builds the retry/degradation ladder on top of these primitives.
 
 Reported durations always come from the deterministic cost model: a
 pool's simulated batch wall-clock is its LPT makespan
@@ -41,7 +40,6 @@ from concurrent.futures import (
     FIRST_EXCEPTION,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import List, Optional
@@ -57,9 +55,8 @@ from repro.ir.module import Module
 from repro.ir.printer import print_module
 
 MODE_SERIAL = "serial"
-MODE_THREAD = "thread"
 MODE_PROCESS = "process"
-MODES = (MODE_SERIAL, MODE_THREAD, MODE_PROCESS)
+MODES = (MODE_SERIAL, MODE_PROCESS)
 
 
 class WorkerError(ReproError):
@@ -79,52 +76,38 @@ class WorkerTimeoutError(WorkerError):
     """A batch exceeded its deadline: at least one worker is hung."""
 
 
-class _PoolFragmentCompiler:
-    """Shared supervision plumbing for thread/process pools."""
+class ProcessFragmentCompiler:
+    """Compile a batch on a supervised process pool, shipping printed IR."""
 
     def __init__(
-        self,
-        workers: int = 2,
-        batch_timeout_s: Optional[float] = None,
-        memo=None,
+        self, workers: int = 2, batch_timeout_s: Optional[float] = None
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
         self.batch_timeout_s = batch_timeout_s
-        # Optional pass-memoization cache consulted by each fragment
-        # compile (thread/serial lanes only: a memo cannot cross process
-        # boundaries, so the process flavour compiles without one).
-        self.memo = memo
         # How many times a fault forced this pool to be torn down.
         self.restarts = 0
         self._pool = None
 
-    # Subclasses provide the executor and the per-fragment submission.
-    def _make_pool(self):
-        raise NotImplementedError
-
-    def _submit(self, pool, module: Module, opt_level: int, verify: bool):
-        raise NotImplementedError
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
+    def _submit(self, pool, module: Module, opt_level: int):
+        # Ship the module name too: the printed IR does not carry it, and
+        # it is part of the object's canonical bytes (see
+        # ``compile_fragment_text``).
+        return pool.submit(
+            compile_fragment_text, print_module(module), opt_level,
+            name=module.name,
+        )
 
     def compile_batch(
-        self, modules: List[Module], opt_level: int, verify: bool
+        self, modules: List[Module], opt_level: int
     ) -> List[ObjectFile]:
         if len(modules) <= 1 or self.workers == 1:
-            return [
-                compile_fragment(m, opt_level, verify, memo=self.memo)
-                for m in modules
-            ]
-        pool = self._ensure_pool()
+            return [compile_fragment(m, opt_level) for m in modules]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
-            futures = [
-                self._submit(pool, m, opt_level, verify) for m in modules
-            ]
+            futures = [self._submit(self._pool, m, opt_level) for m in modules]
         except BrokenExecutor as error:
             self.restart()
             raise WorkerCrashError(
@@ -180,45 +163,6 @@ class _PoolFragmentCompiler:
         self._kill_workers(pool)
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _kill_workers(self, pool) -> None:  # pragma: no cover - per-flavour
-        pass
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ThreadFragmentCompiler(_PoolFragmentCompiler):
-    """Compile a batch on a shared thread pool."""
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="odin-frag"
-        )
-
-    def _submit(self, pool, module: Module, opt_level: int, verify: bool):
-        return pool.submit(
-            compile_fragment, module, opt_level, verify, False, True,
-            self.memo,
-        )
-
-
-class ProcessFragmentCompiler(_PoolFragmentCompiler):
-    """Compile a batch on a process pool, shipping printed IR text."""
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _submit(self, pool, module: Module, opt_level: int, verify: bool):
-        # Ship the module name too: the printed IR does not carry it, and
-        # it is part of the object's canonical bytes (see
-        # ``compile_fragment_text``).
-        return pool.submit(
-            compile_fragment_text, print_module(module), opt_level, verify,
-            False, module.name,
-        )
-
     def _kill_workers(self, pool) -> None:
         # A hung worker never exits on its own; terminate so the torn-down
         # pool cannot leak live processes.  Best-effort: the process table
@@ -228,6 +172,11 @@ class ProcessFragmentCompiler(_PoolFragmentCompiler):
                 process.terminate()
             except Exception:  # pragma: no cover - already dead
                 pass
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 def make_compiler(
@@ -239,17 +188,13 @@ def make_compiler(
     """Build the fragment compiler for *mode* / *workers*.
 
     ``memo`` (a :class:`repro.service.cache.PassMemoCache`) threads
-    pass memoization through the serial and thread flavours; process
-    pools ignore it — a shared in-memory memo cannot be consulted from a
+    pass memoization through the serial compiler; process pools compile
+    without one — a shared in-memory memo cannot be consulted from a
     forked worker, and shipping one per batch would cost more than the
     middle end it saves.
     """
     if mode == MODE_SERIAL or workers <= 1:
         return InlineFragmentCompiler(memo=memo)
-    if mode == MODE_THREAD:
-        return ThreadFragmentCompiler(
-            workers, batch_timeout_s=batch_timeout_s, memo=memo
-        )
     if mode == MODE_PROCESS:
         return ProcessFragmentCompiler(workers, batch_timeout_s=batch_timeout_s)
     raise ValueError(f"unknown worker mode {mode!r}; expected one of {MODES}")

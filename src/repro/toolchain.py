@@ -30,22 +30,20 @@ class BuildResult:
     link_ms: float
 
 
-def compile_ir(source: str, name: str = "program", *, verify: bool = True) -> Module:
+def compile_ir(source: str, name: str = "program") -> Module:
     """MiniC source -> verified, unoptimized IR module."""
     module = compile_source(source, name)
-    if verify:
-        verify_module(module)
+    verify_module(module)
     return module
 
 
-def build_module(module: Module, opt_level: int = 2, *, verify: bool = True) -> BuildResult:
+def build_module(module: Module, opt_level: int = 2) -> BuildResult:
     """Optimize, lower and link an IR module (mutates the module)."""
     from repro.backend.costmodel import compile_cost_ms
 
     pre_opt_cost = compile_cost_ms(module)
     optimize(module, opt_level)
-    if verify:
-        verify_module(module)
+    verify_module(module)
     obj = lower_module(module)
     obj.compile_ms = pre_opt_cost
     exe = link([obj])

@@ -202,22 +202,3 @@ class VariantBuilder:
                 self.relink()
                 self.deinstrumented.append(symbol)
         return flipped
-
-    def reinstrument_symbol(self, symbol: str) -> Dict[str, int]:
-        """Inverse of :meth:`deinstrument_symbol`: re-enable and relink."""
-        flipped: Dict[str, int] = {}
-        with self.tracer.span(
-            "partisan.reinstrument", cat=CAT_PARTISAN, symbol=symbol
-        ):
-            for name, fb in self.builds.items():
-                changed = 0
-                for tool in fb.tools:
-                    changed += tool.set_symbol_probes_enabled(symbol, True)
-                if changed:
-                    fb.engine.rebuild_if_needed()
-                    flipped[name] = changed
-            if flipped:
-                self.relink()
-                if symbol in self.deinstrumented:
-                    self.deinstrumented.remove(symbol)
-        return flipped

@@ -30,7 +30,7 @@ class TestOracle:
         """Batching, content cache and link cache preserve equivalence."""
         program = get_program("lcms")
         oracle = DifferentialOracle(
-            program, use_service=True, workers=2, worker_mode="thread",
+            program, use_service=True, workers=2, worker_mode="process",
             max_inputs=2,
         )
         report = oracle.run(generate_schedules(1, 13, max_steps=4))

@@ -194,20 +194,24 @@ class TestRebuildAccounting:
 
     def test_worker_pool_campaign_reports_wall(self):
         """End-to-end ``workers>1``: recorded latency is the makespan."""
-        from repro.service.workers import ThreadFragmentCompiler
+        from repro.service.workers import ProcessFragmentCompiler
 
+        pool = ProcessFragmentCompiler(workers=2)
         engine = Odin(
             compile_source(TARGET, "t"), preserve=("main", "run_input"),
-            compiler=ThreadFragmentCompiler(workers=2),
+            compiler=pool,
         )
         tool = OdinCov(engine, prune=True)
         tool.add_all_block_probes()
-        tool.build()
-        fuzzer = Fuzzer(
-            OdinCovExecutor(tool), seeds=[b"AAAA", b"FUZ", b"xy"],
-            prune_interval=50,
-        )
-        stats = fuzzer.run(120)
+        try:
+            tool.build()
+            fuzzer = Fuzzer(
+                OdinCovExecutor(tool), seeds=[b"AAAA", b"FUZ", b"xy"],
+                prune_interval=50,
+            )
+            stats = fuzzer.run(120)
+        finally:
+            pool.close()
         assert stats.rebuilds >= 1
         wall = sum(r.wall_ms for r in engine.history[1:])
         cpu = sum(r.total_ms for r in engine.history[1:])

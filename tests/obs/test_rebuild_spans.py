@@ -18,7 +18,7 @@ from repro.frontend.codegen import compile_source
 from repro.instrument.coverage import OdinCov
 from repro.obs.trace import to_trace_events, validate_trace_events
 from repro.obs.tracer import CAT_FRAGMENT, CAT_PASS
-from repro.service.workers import ThreadFragmentCompiler
+from repro.service.workers import ProcessFragmentCompiler
 
 SOURCE = r"""
 static int acc;
@@ -154,9 +154,16 @@ class TestSerialRebuildSpans:
         assert validate_trace_events(payload) == []
 
 
+@pytest.fixture
+def pool():
+    compiler = ProcessFragmentCompiler(workers=2)
+    yield compiler
+    compiler.close()
+
+
 class TestParallelRebuildSpans:
-    def test_worker_pool_spans(self):
-        engine = build_engine(compiler=ThreadFragmentCompiler(workers=2))
+    def test_worker_pool_spans(self, pool):
+        engine = build_engine(compiler=pool)
         report = engine.initial_build()
         assert report.workers == 2
         check_tree_invariants(report)
@@ -184,8 +191,8 @@ class TestParallelRebuildSpans:
         # The lane-sum exceeds the makespan when work actually overlaps.
         assert report.total_compile_ms > report.compile_wall_ms
 
-    def test_wall_ms_is_makespan_not_lane_sum(self):
-        engine = build_engine(compiler=ThreadFragmentCompiler(workers=2))
+    def test_wall_ms_is_makespan_not_lane_sum(self, pool):
+        engine = build_engine(compiler=pool)
         report = engine.initial_build()
         assert report.wall_ms == report.compile_wall_ms + report.link_ms
         assert report.wall_ms < report.total_ms

@@ -65,11 +65,11 @@ class TestMemoKey:
 class TestMemoReplay:
     def test_hit_skips_optimize_and_matches_cold_bytes(self):
         memo = PassMemoCache()
-        cold = compile_fragment(fragment(), 2, True, memo=memo)
+        cold = compile_fragment(fragment(), 2, memo=memo)
         assert memo.puts == 1 and memo.hits == 0
         assert not cold.stage_breakdown.get("memo_hit")
 
-        warm = compile_fragment(fragment(), 2, True, memo=memo)
+        warm = compile_fragment(fragment(), 2, memo=memo)
         assert memo.hits == 1
         assert warm.stage_breakdown["memo_hit"] is True
         assert warm.stage_breakdown["optimize_ms"] == 0.0
@@ -86,7 +86,7 @@ class TestMemoReplay:
     def test_memoized_ir_roundtrips_through_parser(self):
         """The snapshot is parseable text — the replay's preconditions."""
         memo = PassMemoCache()
-        compile_fragment(fragment(), 2, True, memo=memo)
+        compile_fragment(fragment(), 2, memo=memo)
         ((entry, _size),) = memo._entries.values()
         assert isinstance(entry, MemoEntry)
         replayed = parse_module(entry.ir_text, "memofrag")
@@ -94,8 +94,8 @@ class TestMemoReplay:
 
     def test_different_opt_levels_do_not_alias(self):
         memo = PassMemoCache()
-        compile_fragment(fragment(), 2, True, memo=memo)
-        o0 = compile_fragment(fragment(), 0, True, memo=memo)
+        compile_fragment(fragment(), 2, memo=memo)
+        o0 = compile_fragment(fragment(), 0, memo=memo)
         assert memo.hits == 0 and memo.puts == 2
         assert not o0.stage_breakdown.get("memo_hit")
 

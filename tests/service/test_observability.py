@@ -112,7 +112,7 @@ class TestParallelRebuildReporting:
         """With 2 workers and >1 compiled fragment the makespan the
         client waits for is shorter than the summed lane time."""
         service, engine, tool = make_service(
-            workers=2, worker_mode="thread"
+            workers=2, worker_mode="process"
         )
         # Disable one probe in every fragment so every fragment recompiles.
         by_fragment = {}

@@ -39,10 +39,7 @@ from repro.service import (
     WorkerTimeoutError,
 )
 from repro.service.jobs import ProbeOp
-from repro.service.workers import (
-    ProcessFragmentCompiler,
-    ThreadFragmentCompiler,
-)
+from repro.service.workers import ProcessFragmentCompiler
 
 SRC = """
 int helper(int x) { return x * 3 + 1; }
@@ -184,11 +181,11 @@ class FlakyCompiler:
         self.restarts = 0
         self.closed = False
 
-    def compile_batch(self, modules, opt_level, verify):
+    def compile_batch(self, modules, opt_level):
         self.calls += 1
         if self.calls <= self.fail_times:
             raise self.error("boom")
-        return [compile_fragment(m, opt_level, verify) for m in modules]
+        return [compile_fragment(m, opt_level) for m in modules]
 
     def restart(self):
         self.restarts += 1
@@ -197,7 +194,7 @@ class FlakyCompiler:
         self.closed = True
 
 
-def make_supervised(mode="thread", **kw):
+def make_supervised(mode="process", **kw):
     kw.setdefault("retry", RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0))
     kw.setdefault("sleep", lambda s: None)
     return SupervisedCompiler(mode, 2, **kw)
@@ -206,7 +203,7 @@ def make_supervised(mode="thread", **kw):
 class TestSupervisedCompiler:
     def test_passthrough_when_healthy(self):
         sup = make_supervised()
-        objs = sup.compile_batch(modules(), 2, True)
+        objs = sup.compile_batch(modules(), 2)
         assert len(objs) == 2
         assert not sup.degraded
         sup.close()
@@ -216,7 +213,7 @@ class TestSupervisedCompiler:
         sup = make_supervised(metrics=metrics)
         flaky = FlakyCompiler(fail_times=1)
         sup._compilers[0] = flaky
-        objs = sup.compile_batch(modules(), 2, True)
+        objs = sup.compile_batch(modules(), 2)
         assert len(objs) == 2
         assert flaky.restarts == 1
         assert sup.worker_restarts == 1
@@ -226,20 +223,20 @@ class TestSupervisedCompiler:
     def test_retry_result_matches_clean_compile(self):
         """A batch that survives a restart compiles byte-identically."""
         clean = [
-            object_fingerprint(compile_fragment(m, 2, True))
+            object_fingerprint(compile_fragment(m, 2))
             for m in modules()
         ]
         sup = make_supervised()
         sup._compilers[0] = FlakyCompiler(fail_times=1)
-        objs = sup.compile_batch(modules(), 2, True)
+        objs = sup.compile_batch(modules(), 2)
         assert [object_fingerprint(o) for o in objs] == clean
 
     def test_degrades_through_the_ladder(self):
         metrics = MetricsRegistry()
-        sup = make_supervised("thread", metrics=metrics)
+        sup = make_supervised("process", metrics=metrics)
         always = FlakyCompiler(fail_times=10**9)
         sup._compilers[0] = always
-        objs = sup.compile_batch(modules(), 2, True)  # serial floor serves it
+        objs = sup.compile_batch(modules(), 2)  # serial floor serves it
         assert len(objs) == 2
         assert sup.degraded
         assert sup.mode == "serial"
@@ -249,14 +246,14 @@ class TestSupervisedCompiler:
 
     def test_process_ladder_order(self):
         sup = make_supervised("process")
-        assert sup.ladder == ("process", "thread", "serial")
+        assert sup.ladder == ("process", "serial")
         sup.close()
 
     def test_all_rungs_failing_surfaces_worker_error(self):
         sup = make_supervised("serial")
         sup._compilers[0] = FlakyCompiler(fail_times=10**9)
         with pytest.raises(WorkerError, match="degradation ladder failed"):
-            sup.compile_batch(modules(), 2, True)
+            sup.compile_batch(modules(), 2)
 
     def test_fault_injector_hook_drives_retries(self):
         fired = []
@@ -267,83 +264,91 @@ class TestSupervisedCompiler:
                 raise WorkerCrashError("chaos says hi")
 
         sup = make_supervised(fault_injector=injector)
-        objs = sup.compile_batch(modules(), 2, True)
+        objs = sup.compile_batch(modules(), 2)
         assert len(objs) == 2
         assert fired == [1]
         assert sup.worker_restarts == 1
+        sup.close()
 
     def test_unknown_mode_rejected(self):
+        for mode in ("quantum", "thread"):
+            with pytest.raises(ValueError):
+                SupervisedCompiler(mode, 2)
         with pytest.raises(ValueError):
-            SupervisedCompiler("quantum", 2)
+            RecompilationService(workers=2, worker_mode="thread")
 
 
 # -- pool supervision primitives ---------------------------------------------------
 
 
+def fail_fast(*_args):
+    """Worker stand-in for a fragment whose compile fails at once."""
+    raise ValueError("bad fragment")
+
+
+def wait_for_release(path):
+    """Worker stand-in for a slow fragment: blocks until *path* exists."""
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestPoolSupervision:
-    def test_thread_pool_hang_raises_timeout(self):
-        pool = ThreadFragmentCompiler(2, batch_timeout_s=0.2)
-        release = threading.Event()
-
-        def sleepy(module, opt_level, verify):
-            release.wait(30.0)
-
-        # Make the pool's submission path hang instead of compiling.
-        pool._submit = lambda p, m, o, v: p.submit(sleepy, m, o, v)
+    def test_process_pool_hang_raises_timeout(self):
+        pool = ProcessFragmentCompiler(2, batch_timeout_s=0.2)
+        # Make the pool's workers hang instead of compiling.
+        pool._submit = lambda p, m, o: p.submit(time.sleep, 30.0)
         try:
             start = time.perf_counter()
             with pytest.raises(WorkerTimeoutError):
-                pool.compile_batch(modules(), 2, True)
+                pool.compile_batch(modules(), 2)
             assert time.perf_counter() - start < 5.0  # detected, not awaited
             assert pool.restarts == 1
         finally:
-            release.set()
             pool.close()
 
-    def test_failure_cancels_outstanding_futures(self):
+    def test_failure_cancels_outstanding_futures(self, tmp_path):
         """One failed fragment errors the batch promptly (satellite c)."""
-        pool = ThreadFragmentCompiler(2, batch_timeout_s=30.0)
-        release = threading.Event()
-
-        def fail_fast(module, opt_level, verify):
-            raise ValueError("bad fragment")
-
-        def slow(module, opt_level, verify):
-            release.wait(30.0)
-
+        pool = ProcessFragmentCompiler(2, batch_timeout_s=30.0)
+        release = str(tmp_path / "release")
         submitted = []
 
-        def submit(p, m, o, v):
-            fn = fail_fast if not submitted else slow
-            future = p.submit(fn, m, o, v)
+        def submit(p, m, o):
+            if submitted:
+                future = p.submit(wait_for_release, release)
+            else:
+                future = p.submit(fail_fast)
             submitted.append(future)
             return future
 
         pool._submit = submit
         try:
             start = time.perf_counter()
-            # Four fragments on two workers: the first fails at once and
-            # frees its worker, which can steal at most one queued
-            # sibling; the last one is still queued and must be
-            # cancelled rather than awaited.
+            # Eight fragments on two workers: the executor hands out at
+            # most workers + 1 calls ahead of time, so once the first
+            # fails the siblings still queued behind the blocked ones
+            # must be cancelled rather than awaited.
             with pytest.raises(ValueError, match="bad fragment"):
-                pool.compile_batch(modules(4), 2, True)
+                pool.compile_batch(modules(8), 2)
             assert time.perf_counter() - start < 5.0
             assert any(f.cancelled() for f in submitted)
         finally:
-            release.set()
+            # Release the blocked siblings rather than kill them: a pool
+            # broken while cancelled calls are still queued trips the
+            # executor's manager thread on Python 3.11.
+            open(release, "w").close()
             pool.close()
 
     def test_process_pool_crash_raises_crash_error(self):
         pool = ProcessFragmentCompiler(2, batch_timeout_s=30.0)
-        pool._submit = lambda p, m, o, v: p.submit(os._exit, 13)
+        pool._submit = lambda p, m, o: p.submit(os._exit, 13)
         with pytest.raises(WorkerCrashError):
-            pool.compile_batch(modules(), 2, True)
+            pool.compile_batch(modules(), 2)
         assert pool.restarts == 1
         # The restarted pool (with the crashing submit hook removed)
         # works again.
         del pool._submit
-        objs = pool.compile_batch(modules(), 2, True)
+        objs = pool.compile_batch(modules(), 2)
         assert len(objs) == 2
         pool.close()
 
@@ -354,7 +359,7 @@ class TestPoolSupervision:
 class TestProcessNameFidelity:
     def test_text_roundtrip_preserves_object_name(self):
         m = compile_source(SRC, "named_fragment")
-        obj = compile_fragment_text(print_module(m), 2, True, False, m.name)
+        obj = compile_fragment_text(print_module(m), 2, False, m.name)
         assert obj.name == "named_fragment"
 
     def test_extracted_fragment_matches_text_roundtrip(self):
@@ -378,9 +383,9 @@ class TestProcessNameFidelity:
         for fragment in sched.changed_fragments:
             extracted = engine._split_fragment(sched.temp_module, fragment)
             text = print_module(extracted)
-            inline_obj = compile_fragment(extracted, engine.opt_level, True)
+            inline_obj = compile_fragment(extracted, engine.opt_level)
             pool_obj = compile_fragment_text(
-                text, engine.opt_level, True, False, extracted.name
+                text, engine.opt_level, False, extracted.name
             )
             assert object_fingerprint(inline_obj) == object_fingerprint(
                 pool_obj

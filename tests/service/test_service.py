@@ -16,11 +16,7 @@ from repro.service import (
 )
 from repro.service.cache import InMemoryCodeCache, PassMemoCache
 from repro.service.jobs import OP_DISABLE
-from repro.service.workers import (
-    ProcessFragmentCompiler,
-    ThreadFragmentCompiler,
-    make_compiler,
-)
+from repro.service.workers import ProcessFragmentCompiler, make_compiler
 
 PRESERVED = ("main", "run_input")
 PROGRAM = "libjpeg"
@@ -194,7 +190,7 @@ class TestBatchingAndDedup:
 
     def test_concurrent_clients_through_dispatcher(self):
         """End-to-end: 4 client threads against the running dispatcher."""
-        service, engine, tool = make_service(workers=2, worker_mode="thread")
+        service, engine, tool = make_service(workers=2, worker_mode="process")
         pids = sorted(tool.probes)
         errors = []
 
@@ -228,11 +224,12 @@ class TestBatchingAndDedup:
 
 
 class TestWorkerPool:
-    def test_thread_pool_preserves_reported_numbers(self):
+    def test_process_pool_preserves_reported_numbers(self):
         """Per-fragment compile costs are identical for any worker count;
         only the batch wall-clock (makespan) changes."""
         _, serial_engine, _ = make_service()
-        service, pooled_engine, _ = make_service(workers=4, worker_mode="thread")
+        service, pooled_engine, _ = make_service(workers=4, worker_mode="process")
+        service.close()
         serial_report = serial_engine.history[0]
         pooled_report = pooled_engine.history[0]
         assert serial_report.fragment_compile_ms == pooled_report.fragment_compile_ms
@@ -242,7 +239,8 @@ class TestWorkerPool:
     def test_multi_worker_beats_serial_wall_clock(self):
         """Acceptance: on a multi-fragment batch the pool's (simulated)
         wall-clock is strictly below the serial sum."""
-        service, engine, _ = make_service(workers=4, worker_mode="thread")
+        service, engine, _ = make_service(workers=4, worker_mode="process")
+        service.close()
         report = engine.history[0]
         assert len(report.fragment_ids) > 4
         assert report.compile_wall_ms < report.total_compile_ms
@@ -260,10 +258,10 @@ class TestWorkerPool:
 
     def test_make_compiler_modes(self):
         assert make_compiler("serial", 8).workers == 1
-        assert isinstance(make_compiler("thread", 2), ThreadFragmentCompiler)
         assert isinstance(make_compiler("process", 2), ProcessFragmentCompiler)
-        with pytest.raises(ValueError):
-            make_compiler("rainbow", 2)
+        for mode in ("rainbow", "thread"):
+            with pytest.raises(ValueError):
+                make_compiler(mode, 2)
 
     def test_process_pool_matches_serial_objects(self):
         """Cross-process compiles (shipped as printed IR) produce objects
@@ -281,10 +279,10 @@ class TestWorkerPool:
         from repro.ir.printer import print_module
 
         reparsed = [parse_module(print_module(m)) for m in modules]
-        serial = [compile_fragment(m, 2, True) for m in modules]
+        serial = [compile_fragment(m, 2) for m in modules]
         pool = ProcessFragmentCompiler(workers=2)
         try:
-            pooled = pool.compile_batch(reparsed, 2, True)
+            pooled = pool.compile_batch(reparsed, 2)
         finally:
             pool.close()
         for a, b in zip(serial, pooled):

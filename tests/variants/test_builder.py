@@ -145,21 +145,6 @@ class TestDeinstrumentation:
         assert builder.relinks == relinks
         assert builder.deinstrumented == []
 
-    def test_reinstrument_restores_probes(self, builder):
-        before = builder.probe_counts()
-        builder.deinstrument_symbol("parse_object")
-        restored = builder.reinstrument_symbol("parse_object")
-        assert restored
-        assert builder.deinstrumented == []
-        for family in restored:
-            live = sum(
-                1
-                for tool in builder.build_for(family).tools
-                for probe in tool.probes.values()
-                if probe.enabled
-            )
-            assert live == before[family]
-
     def test_behaviour_preserved_after_deinstrumentation(
         self, builder, json_program
     ):

@@ -78,7 +78,7 @@ class TestSharedObjectCache:
 
         clean_key = fragment_content_key(frag_module, 2, "", "clean")
         other_key = fragment_content_key(frag_module, 2, "", "sanitized")
-        obj = InlineFragmentCompiler().compile_batch([frag_module], 2, True)[0]
+        obj = InlineFragmentCompiler().compile_batch([frag_module], 2)[0]
         cache = PersistentCodeCache(str(tmp_path / "cache"))
         cache.put(clean_key, obj)
         assert cache.get(clean_key) is not None
