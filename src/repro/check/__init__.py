@@ -6,14 +6,15 @@ repo until now.  This package makes it testable, in the spirit of
 FuzzyFlow's cutout-based differential testing of program transformations:
 
 * :mod:`repro.check.schedules` — deterministic random probe-state
-  schedules (enable/disable/remove/prune sequences, seeded RNG);
-* :mod:`repro.check.oracle` — replays each schedule incrementally (engine
-  or recompilation service) and from scratch, asserting object-byte,
-  linked-image and behavioural equivalence over a seed corpus
-  (``diff_engines``, the one three-layer diff every replayer uses);
-* :mod:`repro.check.tiers` — replays each schedule through the patch,
-  memo and full recompile tiers side by side and diffs the fast tiers
-  against the full path (``repro check --tiers``);
+  schedules (seeded RNG) whose step kinds are the service's probe-op
+  kinds (enable/disable/remove) plus prune;
+* :mod:`repro.check.oracle` — one replay loop with two referees:
+  ``DifferentialOracle`` replays each schedule incrementally (engine or
+  recompilation service) and from scratch, and ``TierSweep`` replays it
+  through the patch, memo and full recompile tiers side by side
+  (``repro check --tiers``); both assert object-byte, linked-image and
+  behavioural equivalence over a seed corpus (``diff_engines``, the one
+  three-layer diff every replayer uses);
 * :mod:`repro.check.chaos` — replays per-campaign schedules under seeded
   faults against one of two targets, the supervised service (worker
   crash/hang, cache corruption, dispatcher restart, expired deadlines)
@@ -52,10 +53,6 @@ from repro.check.oracle import (
     DifferentialOracle,
     ScheduleOutcome,
     StepOutcome,
-)
-from repro.check.tiers import (
-    TierScheduleOutcome,
-    TierStepOutcome,
     TierSweep,
     TierSweepReport,
 )
@@ -91,8 +88,6 @@ __all__ = [
     "ScheduleStep",
     "ServiceChaos",
     "StepOutcome",
-    "TierScheduleOutcome",
-    "TierStepOutcome",
     "TierSweep",
     "TierSweepReport",
     "check_backpropagation",

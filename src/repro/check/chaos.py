@@ -49,9 +49,8 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.check.oracle import STEP_OPS, DifferentialOracle
+from repro.check.oracle import DifferentialOracle
 from repro.check.schedules import (
-    STEP_REMOVE,
     ProbeSchedule,
     generate_schedules,
     pick_step,
@@ -452,7 +451,7 @@ class _ChaosSession:
             return
         try:
             shed = self._rebuild(
-                index, [ProbeOp(STEP_OPS[step.kind], p.id) for p in picked]
+                index, [ProbeOp(step.kind, p.id) for p in picked]
             )
         except ServiceError as error:
             if error.retry_after_s is None:
@@ -465,10 +464,6 @@ class _ChaosSession:
             campaign.shed[shed] = campaign.shed.get(shed, 0) + 1
             return
         campaign.replies += 1
-        if step.kind == STEP_REMOVE:
-            probes = self._tool(index).probes
-            for probe in picked:
-                probes.pop(probe.id, None)
 
     def verdict(self) -> None:
         self._count()

@@ -17,6 +17,12 @@ and after every effective step assert three layers of equivalence:
 3. *behaviour* — exit code, stdout, trap, cycle count and per-input
    coverage maps over a seed corpus.
 
+:class:`TierSweep` (``repro check --tiers``) runs the same replay loop
+over three engines side by side — patch, memo and full recompile tiers
+— and diffs the fast tiers against the full path at the same three
+layers.  Zero divergences is the bar: a fast tier may not be merely
+"close" to the slow one.
+
 Any divergence is reported with the schedule, step and layer that
 exposed it, which is what makes the report actionable.
 """
@@ -24,35 +30,23 @@ exposed it, which is what makes the report actionable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.engine import Odin
-from repro.check.schedules import (
-    STEP_DISABLE,
-    STEP_ENABLE,
-    STEP_PRUNE,
-    STEP_REMOVE,
-    ProbeSchedule,
-    pick_step,
-)
+from repro.check.schedules import STEP_PRUNE, ProbeSchedule, pick_step
 from repro.fuzz.executor import PRESERVED, OdinCovExecutor, run_input
 from repro.instrument.coverage import CoverageRuntime, OdinCov
 from repro.linker.linker import Executable
 from repro.programs.registry import TargetProgram
-from repro.service.jobs import OP_DISABLE, OP_ENABLE, OP_REMOVE, ProbeOp
+from repro.service.cache import InMemoryCodeCache, PassMemoCache
+from repro.service.jobs import OP_REMOVE, ProbeOp
+from repro.service.server import RecompilationService
 from repro.utils.rng import DeterministicRNG
 from repro.vm.interpreter import VM
 
 #: (exit code, stdout, trap, cycles, covered probe ids) of one input.
 Behaviour = Tuple[int, bytes, Optional[str], int, FrozenSet[int]]
 BEHAVIOUR_FIELDS = ("exit_code", "stdout", "trap", "cycles", "coverage")
-
-#: Schedule step kind -> the service's probe-op kind.
-STEP_OPS = {
-    STEP_DISABLE: OP_DISABLE,
-    STEP_ENABLE: OP_ENABLE,
-    STEP_REMOVE: OP_REMOVE,
-}
 
 
 def run_with_coverage(executable: Optional[Executable], data: bytes) -> Behaviour:
@@ -116,9 +110,8 @@ class StepOutcome:
 
     index: int
     kind: str
-    applied: int            # probe ops actually applied (0 = no-op step)
-    rebuilt: bool           # did the incremental side rebuild?
-    compared: bool          # was a from-scratch reference built?
+    applied: int            # probe ops applied (0 = no-op step)
+    compared: bool = False  # was the step diffed against a reference?
     mismatches: List[str] = field(default_factory=list)
 
     @property
@@ -130,6 +123,9 @@ class StepOutcome:
 class ScheduleOutcome:
     schedule: ProbeSchedule
     steps: List[StepOutcome] = field(default_factory=list)
+    # Tier label -> count of rebuilds whose report landed on that tier;
+    # proves a tier sweep exercised the fast paths, not just the fallback.
+    tiers_hit: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
 
     @property
@@ -180,8 +176,111 @@ class CheckReport:
         )
 
 
+class TierSweepReport(CheckReport):
+    """Everything ``repro check --tiers`` learned about one program."""
+
+    @property
+    def tiers_hit(self) -> Dict[str, int]:
+        total: Dict[str, int] = {}
+        for outcome in self.schedules:
+            for tier, count in outcome.tiers_hit.items():
+                total[tier] = total.get(tier, 0) + count
+        return total
+
+    def summary(self) -> str:
+        status = "ok" if self.ok else f"{len(self.mismatches)} DIVERGENCES"
+        hit = ", ".join(
+            f"{tier}={count}" for tier, count in sorted(self.tiers_hit.items())
+        )
+        return (
+            f"{self.program}: tier sweep, {len(self.schedules)} schedules, "
+            f"{self.comparisons} comparisons, tiers hit [{hit}], {status}"
+        )
+
+
+class _Session:
+    """One live side of a replay: engine, coverage tool and executor.
+
+    With *service* options the engine is registered on a
+    :class:`~repro.service.server.RecompilationService` (background
+    dispatcher, shared content cache, link cache, worker pool) and every
+    probe op travels through a client — the full production path.
+    *odin_kwargs* configure the engine either way.
+    """
+
+    def __init__(
+        self,
+        program: TargetProgram,
+        label: str = "",
+        service: Optional[dict] = None,
+        **odin_kwargs,
+    ):
+        self.label = label
+        self.service = None
+        self.client = None
+        module = program.compile()
+        if service is None:
+            self.engine = Odin(module, preserve=PRESERVED, **odin_kwargs)
+        else:
+            self.service = RecompilationService(**service)
+            self.engine = self.service.register_target(
+                program.name, module, preserve=PRESERVED, **odin_kwargs
+            )
+            self.client = self.service.client(program.name, "oracle")
+        self.tool = OdinCov(self.engine)
+        self.tool.add_all_block_probes()
+        if self.service is None:
+            self.tool.build()
+        else:
+            self.service.build(program.name)
+            self.service.start()
+        self.executor = OdinCovExecutor(self.tool)
+        self.rebuilds_seen = len(self.engine.history)
+
+    def close(self) -> None:
+        if self.service is not None:
+            self.service.close()
+
+    def pick(self, step, rng: DeterministicRNG) -> List[int]:
+        """The probe ids *step* touches, picked on this session.
+
+        The lead session picks once and every session applies the same
+        ids, so their probe states stay aligned by construction — a
+        behaviour bug shows up as a mismatch, never as schedule drift.
+        """
+        if step.kind == STEP_PRUNE:
+            return sorted(
+                pid for pid in self.tool.runtime.covered_ids()
+                if pid in self.tool.probes
+            )
+        return [p.id for p in pick_step(self.engine.manager, step, rng)]
+
+    def apply(self, kind: str, ids: List[int]) -> None:
+        """Apply one step's ops by id and rebuild.  A prune removes the
+        ids, then clears the coverage runtime."""
+        ops = [ProbeOp(OP_REMOVE if kind == STEP_PRUNE else kind, pid)
+               for pid in ids]
+        if self.client is not None:
+            self.client.rebuild(ops)
+        else:
+            for op in ops:
+                op.apply(self.engine.manager)
+            self.engine.rebuild_if_needed()
+        if kind == STEP_PRUNE:
+            self.tool.runtime.clear()
+        self.executor._refresh_vm()
+
+    def new_tiers(self) -> List[str]:
+        """Tier labels of rebuilds since the last call."""
+        fresh = self.engine.history[self.rebuilds_seen:]
+        self.rebuilds_seen = len(self.engine.history)
+        return [report.tier for report in fresh]
+
+
 class DifferentialOracle:
     """Replays schedules incrementally and against from-scratch builds."""
+
+    report_type = CheckReport
 
     def __init__(
         self,
@@ -204,37 +303,54 @@ class DifferentialOracle:
     # -- public API -------------------------------------------------------------
 
     def run(self, schedules: List[ProbeSchedule]) -> CheckReport:
-        report = CheckReport(self.program.name)
+        report = self.report_type(self.program.name)
         for schedule in schedules:
             report.schedules.append(self.check_schedule(schedule))
         return report
 
     def check_schedule(self, schedule: ProbeSchedule) -> ScheduleOutcome:
+        """Replay *schedule* on every session, diffing after each step."""
         outcome = ScheduleOutcome(schedule)
-        session = _IncrementalSession(self)
+        sessions = self._open_sessions()
         try:
             rng = DeterministicRNG(schedule.seed)
             cursor = 0
             for index, step in enumerate(schedule.steps):
                 for _ in range(step.inputs):
-                    session.executor.execute(self.inputs[cursor % len(self.inputs)])
+                    data = self.inputs[cursor % len(self.inputs)]
+                    for session in sessions:
+                        session.executor.execute(data)
                     cursor += 1
-                applied, rebuilt = session.apply_step(step, rng)
-                step_outcome = StepOutcome(index, step.kind, applied, rebuilt, False)
+                ids = sessions[0].pick(step, rng)
+                step_outcome = StepOutcome(index, step.kind, len(ids))
                 # A no-op step (nothing eligible, nothing pruned) leaves
                 # the probe state untouched, so the previous comparison
-                # still vouches for it; skip the expensive reference.
-                if applied or rebuilt:
+                # still vouches for it; skip the expensive diff.
+                if ids:
+                    for session in sessions:
+                        session.apply(step.kind, ids)
+                        for tier in session.new_tiers():
+                            outcome.tiers_hit[tier] = (
+                                outcome.tiers_hit.get(tier, 0) + 1
+                            )
                     step_outcome.compared = True
-                    step_outcome.mismatches = self.compare_to_reference(
-                        session.engine
-                    )
+                    step_outcome.mismatches = self._compare(sessions)
                 outcome.steps.append(step_outcome)
         except Exception as error:  # surface, do not crash the sweep
             outcome.error = f"{type(error).__name__}: {error}"
         finally:
-            session.close()
+            for session in sessions:
+                session.close()
         return outcome
+
+    def _open_sessions(self) -> List[_Session]:
+        service = None
+        if self.use_service:
+            service = dict(workers=self.workers, worker_mode=self.worker_mode)
+        return [_Session(self.program, service=service)]
+
+    def _compare(self, sessions: List[_Session]) -> List[str]:
+        return self.compare_to_reference(sessions[0].engine)
 
     # -- equivalence ------------------------------------------------------------
 
@@ -260,82 +376,45 @@ class DifferentialOracle:
         if not set(state) <= set(tool.probes):
             return engine, False
         for pid in sorted(tool.probes):
-            probe = tool.probes[pid]
             if pid not in state:
-                engine.manager.remove(probe)
-                tool.probes.pop(pid)
+                tool.probes.discard(pid)
             elif not state[pid]:
-                engine.manager.disable(probe)
+                engine.manager.disable(tool.probes[pid])
         tool.build()
         return engine, True
 
 
-class _IncrementalSession:
-    """The live side of one schedule replay: engine, tool, executor.
+class TierSweep(DifferentialOracle):
+    """Replays schedules through the patch, memo and full tiers at once.
 
-    With ``use_service`` the engine is registered on a
-    :class:`~repro.service.server.RecompilationService` (background
-    dispatcher, shared content cache, link cache, worker pool) and every
-    probe op travels through a client — the full production path.
+    * **patch** — stage-1 probe patching and an object cache: pure
+      toggles patch the cached master object;
+    * **memo** — no patching, no object cache, pass memoization: every
+      rebuild re-lowers, but optimized IR replays from the memo;
+    * **full** — everything off: the classic incremental path, which
+      the two fast tiers are diffed against.
     """
 
-    def __init__(self, oracle: DifferentialOracle):
-        self.oracle = oracle
-        self.service = None
-        self.client = None
-        module = oracle.program.compile()
-        if oracle.use_service:
-            from repro.service import RecompilationService
+    report_type = TierSweepReport
 
-            self.service = RecompilationService(
-                workers=oracle.workers, worker_mode=oracle.worker_mode
+    def __init__(self, program: TargetProgram, *, max_inputs: int = 4):
+        super().__init__(program, max_inputs=max_inputs)
+
+    def _open_sessions(self) -> List[_Session]:
+        return [
+            _Session(self.program, "patch", enable_patching=True,
+                     object_cache=InMemoryCodeCache()),
+            _Session(self.program, "memo", enable_patching=False,
+                     pass_memo=PassMemoCache()),
+            _Session(self.program, "full", enable_patching=False),
+        ]
+
+    def _compare(self, sessions: List[_Session]) -> List[str]:
+        full = sessions[-1].engine
+        return [
+            f"{session.label}: {mismatch}"
+            for session in sessions[:-1]
+            for mismatch in diff_engines(
+                session.engine, full, self.inputs, "full"
             )
-            self.engine = self.service.register_target(
-                oracle.program.name, module, preserve=PRESERVED
-            )
-            self.client = self.service.client(oracle.program.name, "oracle")
-            self.tool = OdinCov(self.engine, rebuild_fn=self.client.rebuild_report)
-            self.tool.add_all_block_probes()
-            self.service.build(oracle.program.name)
-            self.service.start()
-        else:
-            self.engine = Odin(module, preserve=PRESERVED)
-            self.tool = OdinCov(self.engine)
-            self.tool.add_all_block_probes()
-            self.tool.build()
-        self.executor = OdinCovExecutor(self.tool)
-
-    def close(self) -> None:
-        if self.service is not None:
-            self.service.close()
-
-    # -- steps ------------------------------------------------------------------
-
-    def apply_step(self, step, rng: DeterministicRNG) -> Tuple[int, bool]:
-        """Apply one schedule step; returns (ops applied, rebuilt?)."""
-        manager = self.engine.manager
-        before_exe = self.engine.executable
-        if step.kind == STEP_PRUNE:
-            report = self.executor.prune()
-            return report.pruned, report.rebuild is not None
-
-        picked = pick_step(manager, step, rng)
-        if not picked:
-            return 0, False
-        if step.kind == STEP_REMOVE:
-            for probe in picked:
-                self.tool.probes.pop(probe.id, None)
-        if self.client is not None:
-            op = STEP_OPS[step.kind]
-            self.client.rebuild([ProbeOp(op, p.id) for p in picked])
-        else:
-            for probe in picked:
-                if step.kind == STEP_DISABLE:
-                    manager.disable(probe)
-                elif step.kind == STEP_ENABLE:
-                    manager.enable(probe)
-                else:
-                    manager.remove(probe)
-            self.engine.rebuild_if_needed()
-        self.executor._refresh_vm()
-        return len(picked), self.engine.executable is not before_exe
+        ]

@@ -17,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, TypeVar
 
+from repro.service.jobs import OP_DISABLE, OP_ENABLE, OP_REMOVE
 from repro.utils.rng import DeterministicRNG
 
 T = TypeVar("T")
 
-# Step kinds understood by the oracle's replayer.
-STEP_DISABLE = "disable"
-STEP_ENABLE = "enable"
-STEP_REMOVE = "remove"
+# Step kinds: the service's probe-op kinds, each applied by
+# ``ProbeOp.apply``, plus prune, which removes every covered live probe.
+STEP_DISABLE = OP_DISABLE
+STEP_ENABLE = OP_ENABLE
+STEP_REMOVE = OP_REMOVE
 STEP_PRUNE = "prune"
 STEP_KINDS = (STEP_DISABLE, STEP_ENABLE, STEP_REMOVE, STEP_PRUNE)
 

@@ -51,19 +51,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import Odin
-from repro.errors import ReproError, ScheduleError
+from repro.errors import ReproError
 from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import PassMemoCache
-from repro.service.jobs import (
-    OP_DISABLE,
-    OP_ENABLE,
-    OP_MARK_CHANGED,
-    OP_REMOVE,
-    ProbeOp,
-)
+from repro.service.jobs import ProbeOp
 from repro.service.resilience import BREAKER_OPEN
 from repro.service.server import RecompilationService, open_code_cache
 from repro.cluster.ring import ConsistentHashRing, content_route_key
@@ -406,37 +400,18 @@ class CompileCluster:
         engine = shard.service.register_target(
             entry.key, module, **entry.odin_kwargs
         )
-        tool = None
-        if entry.instrument is not None:
-            tool = entry.instrument(engine)
+        tool = entry.instrument(engine) if entry.instrument is not None else None
+        # A remove also drops the probe from the new tool's probe set; an
+        # op whose probe an earlier entry removed applies as a no-op.
         for _token, ops in entry.ledger:
             for op in ops:
-                self._replay_op(engine, tool, op)
+                op.apply(engine.manager)
         shard.service.build(entry.key)
         entry.shard_id = new_sid
         entry.engine = engine
         entry.tool = tool
         entry.migrations += 1
         self.metrics.inc("targets_migrated")
-
-    @staticmethod
-    def _replay_op(engine: Odin, tool, op: ProbeOp) -> None:
-        manager = engine.manager
-        try:
-            probe = manager.get_probe(op.probe_id)
-        except ScheduleError:
-            return  # removed by an earlier ledger entry
-        if op.kind == OP_ENABLE:
-            manager.enable(probe)
-        elif op.kind == OP_DISABLE:
-            manager.disable(probe)
-        elif op.kind == OP_REMOVE:
-            manager.remove(probe)
-            probes = getattr(tool, "probes", None)
-            if isinstance(probes, dict):
-                probes.pop(op.probe_id, None)
-        elif op.kind == OP_MARK_CHANGED:
-            manager.mark_changed(probe)
 
     # -- stepping (deterministic tests / chaos) --------------------------------
 

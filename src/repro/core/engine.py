@@ -353,10 +353,6 @@ class RebuildReport:
     # Simulated wall-clock of the compile stage: equals total_compile_ms
     # for one worker, the parallel makespan for a pool.
     compile_wall_ms: float = 0.0
-    # fragment id -> canonical-bytes digest of the object produced by this
-    # rebuild; only filled when the engine runs with
-    # ``record_fingerprints=True`` (the repro check oracle does).
-    object_fingerprints: Dict[int, str] = field(default_factory=dict)
     # Probe-integrity findings from this rebuild's fragment compiles;
     # only filled when the engine runs with ``sanitize=True``.
     sanitizer_diagnostics: List = field(default_factory=list)
@@ -419,7 +415,6 @@ class Odin:
         object_cache=None,
         compiler=None,
         link_cache: Optional["LinkCache"] = None,
-        record_fingerprints: bool = False,
         sanitize: bool = False,
         tracer: Optional[Tracer] = None,
         variant_label: str = "",
@@ -456,7 +451,6 @@ class Odin:
         # link-cache key, so co-resident families sharing caches never
         # alias each other's objects or images.
         self.variant_label = variant_label
-        self.record_fingerprints = record_fingerprints
         # Fragment id -> content key of the object currently in `cache`
         # (only tracked when content addressing is on).  For fragments
         # holding patchable sites the key carries an `|off=` suffix with
@@ -657,10 +651,6 @@ class Odin:
                 report.patched += 1
             elif tier == TIER_MEMO:
                 report.memo_hits += 1
-            if self.record_fingerprints:
-                report.object_fingerprints[fragment.id] = object_fingerprint(
-                    self.cache[fragment.id]
-                )
             if report.workers == 1:
                 # Original serial behaviour: the clock moves per
                 # fragment, in schedule order (zero-cost tiers move it

@@ -12,7 +12,7 @@ fuzzer's patch logic drives to rebuild the executable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterator, List, TypeVar
 
 from repro.core.probe import Probe
 from repro.errors import ScheduleError
@@ -76,6 +76,9 @@ class PatchManager:
         # from record coverage would hide the external half.
         self._dirty_records: Dict[int, DirtyRecord] = {}
         self._external_dirty: set = set()
+        # Tool registries (each ProbeSet's id -> probe dict) that a
+        # removal must leave too, so no tool keeps a dead probe.
+        self._bound: List[Dict[int, Probe]] = []
 
     # -- collection protocol ----------------------------------------------------
 
@@ -90,6 +93,10 @@ class PatchManager:
             return self._probes[probe_id]
         except KeyError:
             raise ScheduleError(f"no probe with id {probe_id}") from None
+
+    def bind(self, registry: Dict[int, Probe]) -> None:
+        """Drop every probe this manager removes from *registry* too."""
+        self._bound.append(registry)
 
     # -- mutation ------------------------------------------------------------------
 
@@ -108,9 +115,12 @@ class PatchManager:
         return probe
 
     def remove(self, probe: Probe) -> None:
-        """Unregister a probe; its symbol is recompiled without it."""
+        """Unregister a probe; its symbol is recompiled without it, and
+        every bound registry forgets it."""
         if self._probes.pop(probe.id, None) is None:
             raise ScheduleError(f"probe {probe!r} is not registered")
+        for registry in self._bound:
+            registry.pop(probe.id, None)
         self._mark(probe)
         record = self._dirty_records.get(probe.id)
         if record is not None and record.kind == REC_ADDED:

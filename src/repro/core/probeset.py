@@ -8,10 +8,12 @@ symbol's probes, map runtime counters back onto probe annotations.
 profiling are three uniform clients of one scheduler rather than
 coverage being special-cased.
 
-The set is deliberately dict-compatible (iteration yields ids,
-``tool.probes[pid]``, ``.pop``, ``.get``, ``.values()``, ``.items()``,
-``len``, ``in``): every existing caller that treated ``tool.probes`` as
-a plain dict keeps working.
+The set reads like a dict (iteration yields ids, ``tool.probes[pid]``,
+``.get``, ``.values()``, ``.items()``, ``len``, ``in``) but is written
+only through the manager: :meth:`register` adds, and every removal,
+whether :meth:`discard`, a prune or a service op, goes through
+``PatchManager.remove``, which drops the probe from every set bound to
+that manager.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ class SyncOutcome:
 
 
 class ProbeSet:
-    """Dict-like ``{probe id -> Probe}`` bound to a :class:`PatchManager`.
+    """One tool's ``{probe id -> Probe}``, bound to a :class:`PatchManager`.
 
-    All mutations that must be visible to the scheduler (register,
-    discard, enable/disable) go through the manager, so probe-state diffs
-    recorded here and dirt records stay in lockstep.
+    Every write goes through the manager (register, enable/disable, and
+    any removal, which drops the probe here), so the set and the
+    manager's dirt records stay in lockstep.
     """
 
     def __init__(self, manager: "PatchManager", family: str = ""):
@@ -53,6 +55,7 @@ class ProbeSet:
         #: authoritative tag lives on each probe class).
         self.family = family
         self._probes: Dict[int, Probe] = {}
+        manager.bind(self._probes)
 
     # -- registration ---------------------------------------------------------
 
@@ -62,18 +65,11 @@ class ProbeSet:
         self._probes[probe.id] = probe
         return probe
 
-    def adopt(self, probe: P) -> P:
-        """Track an already-registered probe."""
-        if probe.id < 0:
-            raise ValueError(f"probe {probe!r} is not registered")
-        self._probes[probe.id] = probe
-        return probe
-
     def discard(self, probe_id: int) -> Optional[Probe]:
-        """Forget a probe and unregister it from the manager (if still
-        registered).  Returns the probe, or None if unknown."""
-        probe = self._probes.pop(probe_id, None)
-        if probe is not None and probe.id >= 0:
+        """Unregister a probe from the manager, which drops it from this
+        set.  Returns the probe, or None if unknown."""
+        probe = self._probes.get(probe_id)
+        if probe is not None:
             self.manager.remove(probe)
         return probe
 
@@ -91,14 +87,8 @@ class ProbeSet:
     def __getitem__(self, probe_id: int) -> Probe:
         return self._probes[probe_id]
 
-    def __setitem__(self, probe_id: int, probe: Probe) -> None:
-        self._probes[probe_id] = probe
-
     def get(self, probe_id: int, default=None):
         return self._probes.get(probe_id, default)
-
-    def pop(self, probe_id: int, *default):
-        return self._probes.pop(probe_id, *default)
 
     def keys(self):
         return self._probes.keys()
@@ -123,31 +113,12 @@ class ProbeSet:
 
     def set_symbol_enabled(self, symbol: str, enabled: bool) -> int:
         """Flip every probe of this set targeting *symbol*; returns how
-        many changed state.  Probes that lost their registration out of
-        band (id reset to -1) are skipped — the manager would reject the
-        toggle."""
+        many changed state."""
         changed = 0
         for probe in list(self._probes.values()):
             if probe.target_symbol() != symbol or probe.enabled == enabled:
                 continue
-            if probe.id < 0:
-                continue
             if enabled:
-                self.manager.enable(probe)
-            else:
-                self.manager.disable(probe)
-            changed += 1
-        return changed
-
-    def apply_state(self, desired: Dict[int, bool]) -> int:
-        """Drive the set's enabled flags to *desired* (a probe-state
-        diff); ids absent from the set are ignored.  Returns flips."""
-        changed = 0
-        for pid, want in desired.items():
-            probe = self._probes.get(pid)
-            if probe is None or probe.enabled == want or probe.id < 0:
-                continue
-            if want:
                 self.manager.enable(probe)
             else:
                 self.manager.disable(probe)

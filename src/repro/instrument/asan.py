@@ -145,6 +145,5 @@ class ASanTool(SanitizerTool):
         if not hot:
             return None
         for probe in hot:
-            self.probes.pop(probe.id, None)
             self.engine.manager.remove(probe)
         return self.engine.rebuild()

@@ -105,9 +105,11 @@ class SanitizerTool:
         """Enable/disable every *registered* probe of this tool targeting
         *symbol*; returns how many probes changed state.
 
-        The budget controllers de-instrument hot functions with this:
-        flipping the probes off marks their fragment dirty, and the next
-        ``rebuild_if_needed()`` recompiles just that fragment — at the
-        stage-1 patch tier when the probes are patchable.
+        The profiling controller de- and re-instruments hot functions
+        with this: flipping the probes marks their fragment dirty, and
+        the next ``rebuild_if_needed()`` recompiles just that fragment —
+        at the stage-1 patch tier when the probes are patchable, so the
+        sites stay compiled in.  PartiSan removes probes instead
+        (:meth:`~repro.variants.builder.VariantBuilder.deinstrument_symbol`).
         """
         return self.probes.set_symbol_enabled(symbol, enabled)

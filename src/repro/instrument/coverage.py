@@ -158,9 +158,7 @@ class OdinCov(SanitizerTool):
             return report
         self.sync_hit_counts()
         for pid in self.runtime.covered_ids():
-            probe = self.probes.pop(pid, None)
-            if probe is not None and probe.id >= 0:
-                self.engine.manager.remove(probe)
+            if self.probes.discard(pid) is not None:
                 report.pruned += 1
         self.runtime.clear()
         report.remaining = len(self.probes)

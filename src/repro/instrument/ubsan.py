@@ -150,7 +150,7 @@ class UBSanTool(SanitizerTool):
         fired = self.runtime.fired
         if fired is None:
             return None
-        probe = self.probes.pop(fired, None)
+        probe = self.probes.get(fired)
         self.runtime.clear()
         if probe is None:
             return None

@@ -29,12 +29,15 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import RebuildReport
-from repro.errors import ReproError
+from repro.errors import ReproError, ScheduleError
 
-# Probe operation kinds understood by the dispatcher.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.manager import PatchManager
+
+# Probe operation kinds: each names the PatchManager method applying it.
 OP_ENABLE = "enable"
 OP_DISABLE = "disable"
 OP_REMOVE = "remove"
@@ -65,7 +68,12 @@ class DeadlineExpiredError(ReproError, TimeoutError):
 
 @dataclass(frozen=True)
 class ProbeOp:
-    """One probe mutation: (kind, probe id).  Hashable, so batches dedup."""
+    """One probe mutation: (kind, probe id).  Hashable, so batches dedup.
+
+    :meth:`apply` is the one place a kind becomes a PatchManager call:
+    the service's batches, the cluster's ledger replay and every
+    ``repro check`` replayer go through it.
+    """
 
     kind: str
     probe_id: int
@@ -75,6 +83,15 @@ class ProbeOp:
             raise ValueError(
                 f"unknown probe op {self.kind!r}; expected one of {OP_KINDS}"
             )
+
+    def apply(self, manager: "PatchManager") -> bool:
+        """Apply this op to *manager*; False when the probe is gone."""
+        try:
+            probe = manager.get_probe(self.probe_id)
+        except ScheduleError:
+            return False
+        getattr(manager, self.kind)(probe)
+        return True
 
 
 @dataclass

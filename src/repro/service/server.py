@@ -43,7 +43,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.engine import Odin, RebuildReport
-from repro.errors import ReproError, ScheduleError
+from repro.errors import ReproError
 from repro.ir.module import Module
 from repro.linker.cache import LinkCache
 from repro.obs.metrics import MetricsRegistry
@@ -56,14 +56,9 @@ from repro.service.cache import (
     PersistentCodeCache,
 )
 from repro.service.jobs import (
-    OP_DISABLE,
-    OP_ENABLE,
-    OP_MARK_CHANGED,
-    OP_REMOVE,
     CompileRequest,
     Job,
     JobQueue,
-    ProbeOp,
     ServiceReply,
     batch_clients,
     merge_batch,
@@ -342,7 +337,7 @@ class RecompilationService:
                 queue_wait_ms=max(waits_ms, default=0.0),
             ):
                 for op in ops:
-                    if not self._apply_op(entry.engine, op):
+                    if not op.apply(entry.engine.manager):
                         skipped += 1
                 report, attempts = self._rebuild_with_retry(entry)
             real_ms = (time.perf_counter() - start) * 1000.0
@@ -424,23 +419,6 @@ class RecompilationService:
                     args={"from": before, "to": after},
                 )
             )
-
-    def _apply_op(self, engine: Odin, op: ProbeOp) -> bool:
-        """Apply one probe op; False when the probe is gone (stale id)."""
-        manager = engine.manager
-        try:
-            probe = manager.get_probe(op.probe_id)
-            if op.kind == OP_ENABLE:
-                manager.enable(probe)
-            elif op.kind == OP_DISABLE:
-                manager.disable(probe)
-            elif op.kind == OP_REMOVE:
-                manager.remove(probe)
-            elif op.kind == OP_MARK_CHANGED:
-                manager.mark_changed(probe)
-            return True
-        except ScheduleError:
-            return False
 
     def _record_rebuild(self, report: RebuildReport, real_s: float) -> None:
         m = self.metrics

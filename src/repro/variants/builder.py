@@ -14,7 +14,7 @@ Each fragment is compiled once per family through the normal engine path
 link_variants` merges the per-family images into a
 :class:`~repro.linker.variants.VariantExecutable` with a per-function
 dispatch table.  After any family's probe state changes (the budget
-controller flipping probes off a hot function), :meth:`VariantBuilder.
+controller removing a hot function's probes), :meth:`VariantBuilder.
 deinstrument_symbol` recompiles just the dirty fragments and relinks the
 merged image.
 """
@@ -177,28 +177,34 @@ class VariantBuilder:
     # -- de-instrumentation -----------------------------------------------------
 
     def deinstrument_symbol(self, symbol: str) -> Dict[str, int]:
-        """Flip off every probe targeting *symbol* across all families,
+        """Unregister every probe targeting *symbol* across all families,
         recompile the dirty fragments on the fly, and relink the merged
-        image.  Returns probes flipped per family (empty if the symbol
+        image.  Returns probes removed per family (empty if the symbol
         carried none).
+
+        Removing, not disabling, is what takes the probes' sites out: a
+        disable of patchable probes takes the patch tier, which keeps
+        the sites compiled in and their cost as optimization barriers.
 
         The whole operation runs inside a ``partisan.deinstrument`` span,
         so each family's fragment-level rebuild tree nests under it —
         the observable proof that a hot function really was recompiled
         without its checks.
         """
-        flipped: Dict[str, int] = {}
+        removed: Dict[str, int] = {}
         with self.tracer.span(
             "partisan.deinstrument", cat=CAT_PARTISAN, symbol=symbol
         ):
             for name, fb in self.builds.items():
-                changed = 0
+                count = 0
                 for tool in fb.tools:
-                    changed += tool.set_symbol_probes_enabled(symbol, False)
-                if changed:
+                    for probe in tool.probes.for_symbol(symbol):
+                        tool.probes.discard(probe.id)
+                        count += 1
+                if count:
                     fb.engine.rebuild_if_needed()
-                    flipped[name] = changed
-            if flipped:
+                    removed[name] = count
+            if removed:
                 self.relink()
                 self.deinstrumented.append(symbol)
-        return flipped
+        return removed

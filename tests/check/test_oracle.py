@@ -9,8 +9,8 @@ from repro.programs.registry import get_program
 PRESERVED = ("main", "run_input")
 
 
-def make_built_engine(program, **kwargs):
-    engine = Odin(program.compile(), preserve=PRESERVED, **kwargs)
+def make_built_engine(program):
+    engine = Odin(program.compile(), preserve=PRESERVED)
     tool = OdinCov(engine)
     tool.add_all_block_probes()
     tool.build()
@@ -68,13 +68,6 @@ class TestOracle:
 
 
 class TestEquivalenceHooks:
-    def test_record_fingerprints_on_rebuild_report(self):
-        program = get_program("lcms")
-        engine, _tool = make_built_engine(program, record_fingerprints=True)
-        report = engine.history[-1]
-        assert set(report.object_fingerprints) == set(report.fragment_ids)
-        assert report.object_fingerprints == engine.object_fingerprints()
-
     def test_executable_fingerprint_stable_and_sensitive(self):
         program = get_program("lcms")
         engine_a, tool_a = make_built_engine(program)

@@ -97,6 +97,25 @@ class TestFailover:
         finally:
             cluster.close()
 
+    def test_migrated_tool_holds_only_registered_probes(self):
+        """A removal replayed from the ledger leaves the new tool too."""
+        cluster = make_cluster(shards=2)
+        try:
+            cluster.start()
+            client = cluster.client("alice", PROGRAM)
+            pid = min(p.id for p in cluster.engine("alice", PROGRAM).manager)
+            client.rebuild(client.remove(pid))
+            home = cluster.shard_of("alice", PROGRAM)
+            cluster.shards[home].kill()
+            cluster.check_health_once()
+            assert cluster.shard_of("alice", PROGRAM) != home
+            engine = cluster.engine("alice", PROGRAM)
+            tool = cluster.tool("alice", PROGRAM)
+            assert pid not in tool.probes
+            assert set(tool.probes) == {p.id for p in engine.manager}
+        finally:
+            cluster.close()
+
     def test_recovered_state_is_fingerprint_identical(self):
         cluster = make_cluster()
         try:

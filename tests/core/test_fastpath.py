@@ -206,7 +206,6 @@ class TestNoopRebuild:
         ]
         assert doomed
         for probe in doomed:
-            tool.probes.pop(probe.id, None)
             engine.manager.remove(probe)
         # External dirt (initial build) must win over cancelled records.
         assert engine.manager.has_effective_changes()

@@ -1,11 +1,8 @@
 """ProbeSet: the shared probe registry every tool family sits on."""
 
-import pytest
-
 from repro.core.engine import Odin
 from repro.core.probe import BlockProbe
 from repro.core.probeset import ProbeSet, SyncOutcome
-from repro.errors import ScheduleError
 from repro.ir.parser import parse_module
 
 PROGRAM = """
@@ -66,15 +63,6 @@ class TestDictProtocol:
         assert alpha in probes.values()
         assert (alpha.id, alpha) in probes.items()
 
-    def test_pop_and_setitem(self):
-        _, probes, installed = make_set()
-        alpha = installed["alpha"]
-        popped = probes.pop(alpha.id)
-        assert popped is alpha
-        assert alpha.id not in probes
-        probes[alpha.id] = alpha
-        assert probes[alpha.id] is alpha
-
 
 class TestRegistration:
     def test_register_assigns_manager_id(self):
@@ -82,13 +70,6 @@ class TestRegistration:
         for probe in installed.values():
             assert probe.id >= 0
             assert engine.manager.get_probe(probe.id) is probe
-
-    def test_adopt_requires_registered(self):
-        engine, probes, _ = make_set()
-        fn = engine.module.get("alpha")
-        loose = NopProbe(fn, fn.entry)
-        with pytest.raises(ValueError):
-            probes.adopt(loose)
 
     def test_discard_unregisters(self):
         engine, probes, installed = make_set()
@@ -113,22 +94,17 @@ class TestSymbolState:
         assert probes.set_symbol_enabled("alpha", False) == 0
         assert probes.set_symbol_enabled("alpha", True) == 1
 
-    def test_set_symbol_enabled_skips_externally_removed(self):
+    def test_manager_removal_leaves_the_set(self):
         engine, probes, installed = make_set()
         engine.initial_build()
         alpha = installed["alpha"]
-        # Removed behind the set's back: id resets to -1; the flip loop
-        # must skip it instead of tripping the manager's ScheduleError.
+        pid = alpha.id
+        # Removed through the manager, not the set: the set drops it
+        # too, so the flip loop never meets a dead probe.
         engine.manager.remove(alpha)
+        assert pid not in probes
+        assert probes.for_symbol("alpha") == []
         assert probes.set_symbol_enabled("alpha", False) == 0
-
-    def test_apply_state_drives_diff(self):
-        engine, probes, installed = make_set()
-        engine.initial_build()
-        desired = {pid: False for pid in probes}
-        assert probes.apply_state(desired) == 3
-        assert probes.apply_state(desired) == 0
-        assert all(not p.enabled for p in probes.values())
 
 
 class TestSyncCounts:

@@ -254,8 +254,7 @@ class TestProbeTargetsSurviveOptimization:
         engine = make_engine(strategy="one")
         cov = OdinCov(engine, prune=False)
         alpha = engine.module.get("alpha")
-        probe = engine.manager.add(CovProbe(alpha, alpha.entry))
-        cov.probes[probe.id] = probe
+        probe = cov.probes.register(CovProbe(alpha, alpha.entry))
         cov.build()
         vm = cov.make_vm()
         vm.run("main")

@@ -9,8 +9,12 @@ are recorded from the two loops as they stood before they were merged
 into :mod:`repro.budget`; a refactor of the loop must reproduce them
 bit for bit.
 
-lcms under PartiSan is the run that does not converge (ROADMAP item 1
-records why); json per-execution exercises per-family cost attribution.
+The ``partisan-lcms`` pins were re-recorded when de-instrumentation
+began unregistering a hot function's probes instead of disabling them:
+``curve_lookup``'s coverage-family code no longer keeps its disabled
+probe sites, so the windows after the first cost differently and the
+last three converge.  json per-execution exercises per-family cost
+attribution.
 """
 
 import hashlib
@@ -47,20 +51,20 @@ PINS = {
     "partisan-lcms": dict(
         run=(run_partisan, "lcms", PARTISAN),
         overheads=[
-            "1.4509898828422774", "0.3953773396389795",
-            "0.5849212164272446", "0.2390491203919567",
-            "0.5732957362878097", "0.21776682430782213",
+            "1.4509898828422774", "0.3918959124314483",
+            "0.5776031143379441", "0.23581636655639193",
+            "0.5710221511726874", "0.21364595128666264",
             "0.2379567337936752", "0.230351473167699",
-            "0.2796672513451306", "0.269952707653367",
-            "0.10458935589156071", "0.11612454391379323",
+            "0.27615029937017543", "0.2704959405552225",
+            "0.10434068251959405", "0.25302663617457455",
         ],
         actions=[(0, ["curve_lookup"], [])],
         mix={
-            "coverage": 0.08290329285948331,
-            "sanitized": 0.12435493928922497,
-            "clean": 0.7927417678512917,
+            "coverage": 0.05819712697249658,
+            "sanitized": 0.08729569045874482,
+            "clean": 0.8545071825687586,
         },
-        digest="aaa9cb658ce3e6b7cf286aa9cdecd6374bce74629756c214983dabd945d02079",
+        digest="84a0f046601fc6ff21639bd6aed6206bf21f38471009db0ed516c447b6656e66",
     ),
     "partisan-json-per-execution": dict(
         run=(

@@ -162,6 +162,36 @@ class TestDeinstrumentation:
         assert after.cycles < before.cycles  # checks really came out
 
 
+class TestDeinstrumentRemovesSites:
+    def test_images_match_builds_without_the_probes(self):
+        """De-instrumenting recompiles without the probes' sites.
+
+        Every family's image must equal a fresh engine of that family
+        whose symbol probes were dropped before its first build (so ids
+        still line up).  Disabling instead would take the patch tier for
+        the patchable coverage probes, leaving the sites compiled in.
+        """
+        program = get_program("lcms")
+        builder = VariantBuilder(program.compile, preserve=PRESERVED)
+        builder.build()
+        assert builder.deinstrument_symbol("curve_lookup")
+        for family in builder.spec.families:
+            fresh = Odin(
+                program.compile(),
+                preserve=PRESERVED,
+                variant_label=family.name,
+            )
+            for tool in family.install(fresh):
+                for probe in tool.probes.for_symbol("curve_lookup"):
+                    tool.probes.discard(probe.id)
+            fresh.initial_build()
+            engine = builder.build_for(family.name).engine
+            assert (
+                engine.executable_fingerprint()
+                == fresh.executable_fingerprint()
+            ), family.name
+
+
 class TestLinkVariantsValidation:
     def test_needs_at_least_one_family(self):
         with pytest.raises(LinkError):
