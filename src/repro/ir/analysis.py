@@ -77,10 +77,15 @@ def executable_blocks(fn: Function) -> List[BasicBlock]:
 
 
 def predecessor_map(fn: Function) -> Dict[BasicBlock, List[BasicBlock]]:
+    """Every block's predecessors, each listed once, in the order
+    :meth:`BasicBlock.predecessors` returns them, from one pass over the
+    terminators."""
     preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
     for block in fn.blocks:
         for succ in block.successors():
-            preds[succ].append(block)
+            entry = preds[succ]
+            if not entry or entry[-1] is not block:
+                entry.append(block)
     return preds
 
 

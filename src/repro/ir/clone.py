@@ -174,7 +174,7 @@ def clone_function_body(source: Function, dest: Function, vmap: ValueMap) -> Non
             pred_clone = vmap._blocks.get(id(pred))
             if pred_clone is None:
                 continue  # incoming edge from an unreachable block
-            clone.incoming.append((vmap.get(value), pred_clone))
+            clone.add_incoming(vmap.get(value), pred_clone)
 
 
 def _clone_symbol_shell(symbol: GlobalValue, *, as_declaration: bool) -> GlobalValue:

@@ -5,7 +5,9 @@ fresh virtual register, and ``phi`` nodes merge values at control-flow join
 points.  Control-flow targets (basic blocks) are held in dedicated fields
 rather than in the generic ``operands`` list; :meth:`Instruction.replace_uses_of`
 covers both value operands and phi incomings so rewriting passes have a
-single entry point.
+single entry point.  Every write that stores a function-local value into an
+operand slot or a phi incoming also adds the instruction to that value's
+``users`` (:attr:`repro.ir.values.Value.users`).
 
 Opcode inventory (close to a useful LLVM subset):
 
@@ -70,7 +72,11 @@ class Instruction(Value):
 
     def __init__(self, type_: Type, operands: Sequence[Value], name: str = ""):
         super().__init__(type_, name)
+        self.users = {}
         self.operands: List[Value] = list(operands)
+        for op in self.operands:  # Value.add_user, inlined: every build runs this
+            if op.users is not None:
+                op.users[self] = None
         self.parent: Optional["BasicBlock"] = None
 
     # -- structural queries -------------------------------------------------
@@ -104,6 +110,8 @@ class Instruction(Value):
             if op is old:
                 self.operands[i] = new
                 count += 1
+        if count:
+            new.add_user(self)
         return count
 
     def erase(self) -> None:
@@ -338,6 +346,8 @@ class CallInst(Instruction):
 
     def set_args(self, args: Sequence[Value]) -> None:
         self.operands[1:] = list(args)
+        for arg in args:
+            arg.add_user(self)
 
 
 class PhiInst(Instruction):
@@ -355,6 +365,7 @@ class PhiInst(Instruction):
                 f"phi incoming type {value.type} does not match {self.type}"
             )
         self.incoming.append((value, block))
+        value.add_user(self)
 
     def incoming_for(self, block: "BasicBlock") -> Value:
         for value, pred in self.incoming:
@@ -371,6 +382,8 @@ class PhiInst(Instruction):
             if value is old:
                 self.incoming[i] = (new, block)
                 count += 1
+        if count:
+            new.add_user(self)
         return count
 
     def replace_incoming_block(self, old: "BasicBlock", new: "BasicBlock") -> None:

@@ -159,23 +159,38 @@ class Function(GlobalValue):
 
     # -- rewriting ----------------------------------------------------------
 
+    def _attached_users(self, value: Value) -> List[Instruction]:
+        """The recorded users of *value* that still sit in this function.
+
+        ``value.users`` may list instructions that were erased, moved out
+        with a removed block, or no longer hold the value; the first two
+        are dropped here, and a caller asks the rest whether they still
+        use it.  Only function-local values record users.
+        """
+        if value.users is None:
+            raise IRError(f"{value.ref()} is not a function-local value")
+        return [
+            user for user in value.users
+            if user.parent is not None and user.parent.parent is self
+        ]
+
     def replace_all_uses(self, old: Value, new: Value) -> int:
-        """Replace every use of *old* inside this function with *new*."""
+        """Replace every use of *old* inside this function with *new*.
+
+        Costs O(uses of *old*): only its recorded users are visited.
+        """
         count = 0
-        for inst in self.instructions():
-            count += inst.replace_uses_of(old, new)
+        for user in self._attached_users(old):
+            count += user.replace_uses_of(old, new)
         return count
 
     def users_of(self, value: Value) -> List[Instruction]:
-        """All instructions in this function that use *value*."""
-        users = []
-        for inst in self.instructions():
-            ops = list(inst.operands)
-            if isinstance(inst, PhiInst):
-                ops.extend(inst.used_values())
-            if any(op is value for op in ops):
-                users.append(inst)
-        return users
+        """The instructions in this function that use *value*, unordered."""
+        return [
+            user for user in self._attached_users(value)
+            if any(op is value for op in user.operands)
+            or (isinstance(user, PhiInst) and any(v is value for v in user.used_values()))
+        ]
 
     # -- statistics (drive the compile-time cost model) ----------------------
 

@@ -318,6 +318,7 @@ class _FunctionBodyParser:
                 raise IRParseError(f"undefined value %{name}", line)
             value, block = phi.incoming[idx]
             phi.incoming[idx] = (self.values[name], block)
+            self.values[name].add_user(phi)
         # Resolve non-phi forward references: swap each placeholder for
         # the value the name ended up bound to.
         if self.value_fixups:
@@ -339,6 +340,7 @@ class _FunctionBodyParser:
                         replacement = replacements.get(id(op))
                         if replacement is not None:
                             inst.operands[i] = replacement
+                            replacement.add_user(inst)
         # Validate all referenced blocks were defined.
         for bname, block in self.blocks.items():
             if block not in self.fn.blocks:
@@ -522,6 +524,7 @@ class _FunctionBodyParser:
                     vname = ktok[1][1:]
                     if vname in self.values:
                         phi.incoming.append((self.values[vname], block))
+                        self.values[vname].add_user(phi)
                     else:
                         phi.incoming.append((UndefValue(type_), block))
                         self.fixups.append((phi, len(phi.incoming) - 1, vname, ktok[2]))

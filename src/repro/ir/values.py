@@ -15,21 +15,34 @@ and modules live in :mod:`repro.ir.module`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import IRError, IRTypeError
 from repro.ir.types import ArrayType, I8, IntType, PTR, Type
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.ir.instructions import Instruction
     from repro.ir.module import Function
 
 
 class Value:
     """Anything that can appear as an instruction operand."""
 
+    #: The instructions that have stored this value in an operand slot or a
+    #: phi incoming, as an insertion-ordered set.  Only function-local values
+    #: (:class:`Argument` and instructions) carry one; it may still list
+    #: instructions that were erased or stopped using the value, so
+    #: queries filter it (:meth:`repro.ir.module.Function.users_of`).
+    users: Optional[Dict["Instruction", None]] = None
+
     def __init__(self, type_: Type, name: str = ""):
         self.type = type_
         self.name = name
+
+    def add_user(self, user: "Instruction") -> None:
+        """Record that *user* now holds this value (a no-op if untracked)."""
+        if self.users is not None:
+            self.users[user] = None
 
     def ref(self) -> str:
         """Short textual reference used when printing operands."""
@@ -226,6 +239,7 @@ class Argument(Value):
         super().__init__(type_, name)
         self.parent = parent
         self.index = index
+        self.users = {}
 
 
 def _escape_bytes(data: bytes) -> str:

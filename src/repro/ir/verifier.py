@@ -6,6 +6,8 @@ Checks the structural invariants every pass must preserve:
 * phi nodes have exactly one incoming per predecessor and sit at block heads
 * every value use is dominated by its definition (SSA)
 * operands attached to a function belong to that function
+* every function-local operand lists its user in ``users`` (the def-use
+  sets that make ``replace_all_uses`` cost O(uses))
 * referenced globals are present in the module ("a well-formed IR cannot
   reference undefined symbols" — §3.2 step 3)
 * alias symbols target definitions, not declarations (§2.3)
@@ -183,14 +185,18 @@ def _verify_uses(fn: Function, module: Module, defined: Dict[int, BasicBlock]) -
                         raise VerifierError(
                             f"@{fn.name}: use of foreign argument %{op.name}"
                         )
-                    continue
-                if isinstance(op, Instruction):
+                elif isinstance(op, Instruction):
                     if id(op) not in defined:
                         raise VerifierError(
                             f"@{fn.name}: use of detached instruction %{op.name}"
                         )
-                    continue
-                raise VerifierError(f"@{fn.name}: unknown operand kind {op!r}")
+                else:
+                    raise VerifierError(f"@{fn.name}: unknown operand kind {op!r}")
+                if inst not in op.users:
+                    raise VerifierError(
+                        f"@{fn.name}: %{inst.name or inst.opcode} uses %{op.name}, "
+                        f"whose users do not list it"
+                    )
 
 
 def _verify_dominance(fn: Function, defined: Dict[int, BasicBlock]) -> None:

@@ -167,7 +167,7 @@ def inline_call_site(call: CallInst, callee: Function) -> None:
             pred_clone = vmap._blocks.get(id(pred))
             if pred_clone is None:
                 continue  # edge from an unreachable block
-            clone.incoming.append((vmap.get(value), pred_clone))
+            clone.add_incoming(vmap.get(value), pred_clone)
 
     # Redirect the fall-through branch into the inlined entry.
     entry_clone = vmap.get_block(callee.entry)
@@ -183,7 +183,7 @@ def inline_call_site(call: CallInst, callee: Function) -> None:
             phi.name = caller.uniquify_value_name(f"{callee.name}.ret")
             tail.instructions.insert(0, phi)
             for value, pred in returns:
-                phi.incoming.append((value, pred))
+                phi.add_incoming(value, pred)
             caller.replace_all_uses(call, phi)
         else:
             caller.replace_all_uses(call, UndefValue(call.type))

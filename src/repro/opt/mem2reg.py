@@ -24,33 +24,23 @@ from repro.opt.pass_manager import FunctionPass, OptContext
 def promotable_allocas(fn: Function) -> List[AllocaInst]:
     """Allocas whose address is only used by direct loads/stores."""
     allocas = [i for i in fn.instructions() if isinstance(i, AllocaInst)]
-    out = []
-    for alloca in allocas:
-        if not alloca.allocated_type.is_first_class():
-            continue
-        ok = True
-        for inst in fn.instructions():
-            for idx, op in enumerate(list(inst.operands)):
-                if op is not alloca:
-                    continue
-                if isinstance(inst, LoadInst):
-                    continue
-                if isinstance(inst, StoreInst) and idx == 1:
-                    continue  # address operand of the store
-                ok = False
-            if isinstance(inst, PhiInst) and any(v is alloca for v in inst.used_values()):
-                ok = False
-            if not ok:
-                break
-        if ok:
-            out.append(alloca)
-    return out
+    return [
+        alloca for alloca in allocas
+        if alloca.allocated_type.is_first_class()
+        and all(
+            isinstance(user, LoadInst)
+            # a store may only use the slot as its address operand
+            or (isinstance(user, StoreInst) and user.value is not alloca)
+            for user in fn.users_of(alloca)
+        )
+    ]
 
 
-def dominance_frontiers(fn: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
+def dominance_frontiers(fn: Function) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
+    """Each block's dominance frontier, as an insertion-ordered set."""
     idom = compute_dominators(fn)
     preds = predecessor_map(fn)
-    frontiers: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in fn.blocks}
+    frontiers: Dict[BasicBlock, Dict[BasicBlock, None]] = {b: {} for b in fn.blocks}
     for block in reachable_blocks(fn):
         if len(preds[block]) < 2:
             continue
@@ -59,7 +49,7 @@ def dominance_frontiers(fn: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
                 continue  # unreachable predecessor
             runner: Optional[BasicBlock] = pred
             while runner is not None and runner is not idom.get(block):
-                frontiers[runner].add(block)
+                frontiers[runner][block] = None
                 runner = idom.get(runner)
     return frontiers
 
@@ -83,10 +73,13 @@ class PromoteMem2Reg(FunctionPass):
                 children[parent].append(block)
 
         # Phase 1: place phis at the iterated dominance frontier of defs.
+        # Phis are named as they are placed, so the def blocks and every
+        # frontier are insertion-ordered dicts: a set of blocks would
+        # iterate in memory-address order.
         phi_owner: Dict[int, AllocaInst] = {}
         for alloca in allocas:
             def_blocks = {
-                inst.parent
+                inst.parent: None
                 for inst in fn.instructions()
                 if isinstance(inst, StoreInst) and inst.pointer is alloca
             }
@@ -104,7 +97,7 @@ class PromoteMem2Reg(FunctionPass):
                     frontier_block.instructions.insert(0, phi)
                     phi_owner[id(phi)] = alloca
                     if frontier_block not in def_blocks:
-                        def_blocks.add(frontier_block)
+                        def_blocks[frontier_block] = None
                         worklist.append(frontier_block)
 
         # Phase 2: rename along the dominator tree.

@@ -18,9 +18,9 @@ Rewrites, iterated to a fixpoint:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.ir.analysis import reachable_blocks
+from repro.ir.analysis import predecessor_map, reachable_blocks
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import (
     AllocaInst,
@@ -149,13 +149,15 @@ class SimplifyCFG(FunctionPass):
     @staticmethod
     def _merge_into_predecessor(fn: Function, ctx: OptContext) -> bool:
         changed = False
+        # One map for the sweep, kept exact below, instead of a scan of
+        # every terminator per block.
+        preds = predecessor_map(fn)
         for block in list(fn.blocks):
             if block is fn.entry or block.parent is None:
                 continue
-            preds = block.predecessors()
-            if len(preds) != 1:
+            if len(preds[block]) != 1:
                 continue
-            pred = preds[0]
+            pred = preds[block][0]
             if pred is block:
                 continue
             term = pred.terminator
@@ -174,6 +176,8 @@ class SimplifyCFG(FunctionPass):
             for succ in pred.successors():
                 for phi in succ.phis():
                     phi.replace_incoming_block(block, pred)
+                # pred had no other successor, so it takes block's place.
+                preds[succ] = [pred if p is block else p for p in preds[succ]]
             fn.remove_block(block)
             ctx.count("simplifycfg.merged")
             changed = True
@@ -225,6 +229,7 @@ class SimplifyCFG(FunctionPass):
 
     def _speculate(self, fn: Function, ctx: OptContext) -> bool:
         changed = False
+        preds = predecessor_map(fn)
         for block in list(fn.blocks):
             if block.parent is None:
                 continue
@@ -234,8 +239,9 @@ class SimplifyCFG(FunctionPass):
             then_block, else_block = term.targets
             if then_block is else_block:
                 continue
-            if self._try_speculate(fn, block, term, then_block, else_block, ctx):
+            if self._try_speculate(fn, block, term, then_block, else_block, preds, ctx):
                 changed = True
+                preds = predecessor_map(fn)  # the rewrite removed blocks
         return changed
 
     def _try_speculate(
@@ -245,6 +251,7 @@ class SimplifyCFG(FunctionPass):
         term: BranchInst,
         then_block: BasicBlock,
         else_block: BasicBlock,
+        preds: Dict[BasicBlock, List[BasicBlock]],
         ctx: OptContext,
     ) -> bool:
         cond = term.cond
@@ -257,7 +264,7 @@ class SimplifyCFG(FunctionPass):
                 isinstance(t, BranchInst)
                 and not t.is_conditional
                 and t.targets[0] is join
-                and len(arm.predecessors()) == 1
+                and len(preds[arm]) == 1
                 and not arm.phis()
                 and _speculatable(arm)
             )

@@ -188,3 +188,62 @@ class TestRewriting:
         store = builder.store(a, slot)
         assert not add.has_side_effects()
         assert store.has_side_effects()
+
+
+class TestDefUse:
+    """Every write of a local value into an operand slot or a phi incoming
+    records the user; constants and globals record none."""
+
+    def test_construction_and_rewrites_register_users(self):
+        fn, builder, (a, b) = make_fn()
+        add = builder.add(a, ConstantInt(I32, 1))
+        mul = builder.mul(add, add)
+        assert list(a.users) == [add]
+        assert list(add.users) == [mul]
+        add.replace_uses_of(a, b)
+        assert add in b.users
+        phi = PhiInst(I32)
+        phi.add_incoming(mul, fn.entry)
+        assert phi in mul.users
+
+    def test_set_args_registers_users(self):
+        m = Module("t")
+        callee = m.add(Function("g", FunctionType(I32, (I32,))))
+        fn, builder, (a, b) = build_function(m, "f", FunctionType(I32, (I32, I32)), ["a", "b"])
+        call = builder.call(callee, [a])
+        call.set_args([b])
+        assert call in b.users
+
+    def test_constants_and_globals_record_no_users(self):
+        fn, builder, (a, _) = make_fn()
+        one = ConstantInt(I32, 1)
+        builder.add(a, one)
+        builder.call(fn, [one, one])
+        assert one.users is None and fn.users is None
+
+    def test_replace_all_uses_skips_erased_and_removed_users(self):
+        fn, builder, (a, b) = make_fn()
+        kept = builder.add(a, a)
+        erased = builder.add(a, ConstantInt(I32, 2))
+        erased.erase()
+        side = fn.add_block("side")
+        moved_out = IRBuilder.at_end(side).add(a, ConstantInt(I32, 3))
+        fn.remove_block(side)
+        assert fn.replace_all_uses(a, b) == 2
+        assert kept.lhs is b and kept.rhs is b
+        assert erased.lhs is a and moved_out.lhs is a
+
+    def test_users_of_filters_stale_entries(self):
+        fn, builder, (a, b) = make_fn()
+        phi = IRBuilder.at_end(fn.add_block("join")).phi(I32)
+        phi.add_incoming(a, fn.entry)
+        add = builder.add(a, b)
+        assert set(fn.users_of(a)) == {phi, add}
+        phi.remove_incoming(fn.entry)  # leaves phi in a.users
+        add.replace_uses_of(a, b)
+        assert a.users and fn.users_of(a) == []
+
+    def test_untracked_value_rejected(self):
+        fn, _, _ = make_fn()
+        with pytest.raises(IRError, match="not a function-local value"):
+            fn.replace_all_uses(ConstantInt(I32, 1), ConstantInt(I32, 2))

@@ -237,3 +237,52 @@ class TestAliasConstraints:
         m.add(GlobalAlias("a", fn))
         with pytest.raises(VerifierError, match="not in the module"):
             verify_module(m)
+
+
+class TestDefUse:
+    SOURCE = """
+define i32 @f(i32 %a) {
+entry:
+  %x = add i32 %a, 1
+  %y = add i32 %a, 2
+  %z = add i32 %x, %y
+  ret i32 %z
+}
+"""
+
+    def test_direct_operand_write_fails(self):
+        m = parse_module(self.SOURCE)
+        x, y, _, _ = m.get("f").entry.instructions
+        y.operands[0] = x  # bypasses replace_uses_of: x never learns of y
+        with pytest.raises(VerifierError, match="%y uses %x, whose users do not list it"):
+            verify_module(m)
+
+    def test_rewrite_through_replace_uses_of_passes(self):
+        m = parse_module(self.SOURCE)
+        x, y, z, _ = m.get("f").entry.instructions
+        z.replace_uses_of(y, x)
+        verify_module(m)
+
+    def test_direct_phi_incoming_write_fails(self):
+        m = parse_module(
+            """
+define i32 @f(i32 %a, i1 %c) {
+entry:
+  %x = add i32 %a, 1
+  br i1 %c, label %l, label %r
+l:
+  br label %join
+r:
+  br label %join
+join:
+  %p = phi i32 [ %a, %l ], [ 0, %r ]
+  ret i32 %p
+}
+"""
+        )
+        fn = m.get("f")
+        x = fn.entry.instructions[0]
+        phi = fn.get_block("join").instructions[0]
+        phi.incoming[1] = (x, phi.incoming[1][1])
+        with pytest.raises(VerifierError, match="%p uses %x"):
+            verify_module(m)

@@ -1,5 +1,6 @@
 """Tests for SimplifyCFG, including the probe-as-barrier property."""
 
+from repro.ir.analysis import predecessor_map
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
@@ -141,6 +142,94 @@ declare i32 @ext()
         names = {b.name for b in m.get("f").blocks}
         assert "fwd" not in names
         verify_module(m)
+
+
+class TestPredecessorMap:
+    """One map per merge or speculation sweep must answer exactly as
+    :meth:`BasicBlock.predecessors` would at each point of the sweep."""
+
+    @staticmethod
+    def _assert_matches(fn):
+        preds = predecessor_map(fn)
+        assert list(preds) == fn.blocks
+        for block in fn.blocks:
+            assert preds[block] == block.predecessors()
+
+    def test_chain_merges_in_one_sweep(self):
+        m = parse_module(
+            """
+define i32 @f(i32 %a) {
+entry:
+  br label %b1
+b1:
+  %x = add i32 %a, 1
+  br label %b2
+b2:
+  %y = add i32 %x, 2
+  br label %b3
+b3:
+  %p = phi i32 [ %y, %b2 ]
+  ret i32 %p
+}
+"""
+        )
+        fn = m.get("f")
+        self._assert_matches(fn)
+        ctx = OptContext()
+        assert SimplifyCFG._merge_into_predecessor(fn, ctx)
+        assert [b.name for b in fn.blocks] == ["entry"]
+        assert ctx.stats["simplifycfg.merged"] == 3
+        verify_module(m)
+
+    def test_switch_edges_into_forwarding_block_list_the_switch_once(self):
+        m = parse_module(
+            """
+define i32 @f(i32 %v) {
+entry:
+  switch i32 %v, label %other [ i32 1, label %fwd i32 2, label %fwd ]
+fwd:
+  br label %join
+other:
+  br label %join
+join:
+  %r = phi i32 [ 1, %fwd ], [ 2, %other ]
+  ret i32 %r
+}
+"""
+        )
+        fn = m.get("f")
+        fwd = fn.get_block("fwd")
+        assert predecessor_map(fn)[fwd] == [fn.entry]
+        self._assert_matches(fn)
+        # A single distinct predecessor, but it ends in a switch: no merge.
+        assert not SimplifyCFG._merge_into_predecessor(fn, OptContext())
+        assert fwd in fn.blocks
+
+    def test_self_loop_block_does_not_merge(self):
+        m = parse_module(
+            """
+define i32 @f(i1 %c) {
+entry:
+  br label %loop
+loop:
+  br i1 %c, label %loop, label %exit
+exit:
+  br label %tail
+tail:
+  ret i32 0
+spin:
+  br label %spin
+}
+"""
+        )
+        fn = m.get("f")
+        loop, spin = fn.get_block("loop"), fn.get_block("spin")
+        assert predecessor_map(fn)[loop] == [fn.entry, loop]
+        assert predecessor_map(fn)[spin] == [spin]
+        assert SimplifyCFG._merge_into_predecessor(fn, OptContext())
+        # Only tail merged (into exit); neither self-loop block merged.
+        assert [b.name for b in fn.blocks] == ["entry", "loop", "exit", "spin"]
+        self._assert_matches(fn)
 
 
 class TestSpeculation:
