@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.core.engine import compile_fragment, object_fingerprint
 from repro.frontend.codegen import compile_source
+from repro.ir.printer import print_module
 from repro.service.cache import PersistentCodeCache
 
 # Two tiny translation units compiled into genuine object files; keyed
@@ -49,7 +50,8 @@ int main(void) { return 0; }
 def _compiled_corpus() -> Dict[str, object]:
     objs = {}
     for name, source in _SOURCES.items():
-        objs[f"{name:0<64}"] = compile_fragment(compile_source(source, name))
+        text = print_module(compile_source(source, name))
+        objs[f"{name:0<64}"] = compile_fragment(text, name)
     return objs
 
 

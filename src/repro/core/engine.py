@@ -6,10 +6,13 @@
    IR (instrument-first is what guarantees correctness, §2.2).
 2. **Schedule** — ``PatchManager.schedule()`` (Algorithm 2).
 3. **Split** — ``Scheduler.rebuild()`` splits the instrumented temporary
-   IR back into per-fragment modules.
-4. **Generate code** — each fragment module is optimized with the full O2
-   pipeline *after* instrumentation, lowered to an object file, stored in
-   the machine-code cache, and the whole cache is relinked.
+   IR back into per-fragment modules, printed straight to their canonical
+   IR text: the text is the content key's input and the compile
+   boundary, so a machine-code-cache hit builds no fragment IR.
+4. **Generate code** — each missed fragment's text is parsed, optimized
+   with the full O2 pipeline *after* instrumentation, lowered to an
+   object file, stored in the machine-code cache, and the whole cache is
+   relinked.
 
 The engine never mutates the original module: every rebuild works on
 extracted clones, which is how instrumentation changes are reverted — the
@@ -39,11 +42,10 @@ from repro.core.partition import (
     Fragment,
     FragmentDefinition,
     STRATEGY_ODIN,
-    apply_fragment_linkage,
     partition,
 )
 from repro.errors import PartitionError
-from repro.ir.clone import extract_module
+from repro.ir.clone import ExtractionPlan
 from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
@@ -80,24 +82,20 @@ _TIER_RANK = (TIER_FULL, TIER_MEMO, TIER_CACHE, TIER_PATCH, TIER_NOOP)
 
 
 def compile_fragment(
-    frag_module: Module, opt_level: int = 2, sanitize: bool = False,
-    canonicalize: bool = True, memo=None,
+    text: str, name: str, opt_level: int = 2, sanitize: bool = False,
+    memo=None,
 ) -> ObjectFile:
-    """Optimize (post-instrumentation) and lower one fragment module.
+    """Parse one fragment's canonical IR text, optimize it
+    (post-instrumentation) and lower it.
 
     Pure, so it can run on any worker — the engine's inline path or a
-    forked process.
-
-    ``canonicalize`` (the default) first round-trips the module through
-    its printed text, making the object bytes a function of the
-    *canonical IR* alone.  Without it, optimizer-generated names leak
-    construction history: name uniquification counters differ between a
-    module extracted from a large parent and the same module re-parsed
-    from text, so a process-pool compile (which ships printed IR) could
-    yield different bytes than an inline compile of equivalent IR —
-    exactly the divergence the differential oracle exists to catch.
-    Pass ``canonicalize=False`` only when the module already came from
-    :func:`repro.ir.parser.parse_module` on canonical text.
+    process-pool worker, which receives exactly the same text.  *text* is
+    what :meth:`Odin._split_fragment` prints, so the object bytes are a
+    function of the canonical IR alone: a module re-parsed from text
+    carries no construction history (name uniquification counters of a
+    large parent) that the optimizer's generated names could leak.
+    *name* becomes ``ObjectFile.name`` and is part of the object's
+    canonical bytes; the text does not carry it.
 
     ``sanitize`` runs the probe-integrity sanitizer between optimization
     passes (debug builds); its findings ride back on the object file as
@@ -111,12 +109,10 @@ def compile_fragment(
     model (``stage_breakdown["memo_hit"]`` marks such objects).
     """
     from repro.backend.costmodel import compile_cost_ms, middle_end_cost_ms
+    from repro.ir.parser import parse_module
 
     real_start = time.perf_counter()
-    if canonicalize:
-        from repro.ir.parser import parse_module
-
-        frag_module = parse_module(print_module(frag_module), frag_module.name)
+    frag_module = parse_module(text, name)
     # The middle end pays for the *unoptimized* input it receives.
     pre_opt_cost = compile_cost_ms(frag_module)
     opt_model_ms = middle_end_cost_ms(frag_module)
@@ -125,11 +121,11 @@ def compile_fragment(
     if memo is not None:
         from repro.opt.memo import memo_key
 
-        key = memo_key(print_module(frag_module), opt_level, sanitize)
+        key = memo_key(text, opt_level, sanitize)
         entry = memo.get(key)
         if entry is not None:
             return _replay_memo_entry(
-                entry, frag_module.name, sanitize,
+                entry, name, sanitize,
                 isel_ms=pre_opt_cost - opt_model_ms, real_start=real_start,
             )
 
@@ -211,38 +207,14 @@ def _allocate_pass_ms(opt_ms: float, timings) -> List[Tuple[str, float, float]]:
     return out
 
 
-def compile_fragment_text(
-    ir_text: str, opt_level: int = 2, sanitize: bool = False,
-    name: str = "parsed",
-) -> ObjectFile:
-    """Process-pool entry point: parse shipped IR text, then compile.
-
-    Fragment modules hold interned types and parent links that do not
-    pickle, so cross-process workers receive the *printed* IR — the same
-    canonical text content addressing hashes — and re-parse it.
-
-    ``name`` must be the original module's name: the printed IR does not
-    carry it, yet it becomes ``ObjectFile.name`` and is part of the
-    object's canonical bytes — dropping it made process-pool objects
-    fingerprint differently from serial ones.
-    """
-    from repro.ir.parser import parse_module
-
-    return compile_fragment(
-        parse_module(ir_text, name), opt_level, sanitize,
-        # The text shipped here *is* the canonical form; skip the
-        # redundant second round trip.
-        canonicalize=False,
-    )
-
-
 def fragment_content_key(
-    frag_module: Module, opt_level: int, probe_signature: str = "",
-    variant: str = "",
+    text: str, opt_level: int, probe_signature: str = "", variant: str = "",
 ) -> str:
     """Content address of one fragment compile: hash(IR + probes + opt + variant).
 
-    The printed IR already embeds applied probes (they are real calls in
+    *text* is the fragment's canonical IR text (:meth:`Odin._split_fragment`),
+    so a code-cache hit never builds the fragment's IR.  That text
+    already embeds applied probes (they are real calls in
     the instrumented fragment), but the probe signature is hashed too so
     logically distinct probe states can never collide even if a probe
     scheme emits no IR.
@@ -254,7 +226,7 @@ def fragment_content_key(
     even at moments when their instrumented IR happens to coincide.
     """
     h = hashlib.sha256()
-    h.update(print_module(frag_module).encode())
+    h.update(text.encode())
     h.update(
         f"\n;; probes={probe_signature} opt={opt_level} variant={variant}\n".encode()
     )
@@ -385,7 +357,11 @@ class RebuildReport:
 
 
 class InlineFragmentCompiler:
-    """Default compiler: serial, in-process — the original engine path."""
+    """Default compiler: serial, in-process — the original engine path.
+
+    Every compiler's ``compile_batch`` takes ``(name, text)`` pairs, one
+    per fragment, and returns their objects in batch order.
+    """
 
     workers = 1
 
@@ -394,11 +370,11 @@ class InlineFragmentCompiler:
         self.memo = memo
 
     def compile_batch(
-        self, modules: List[Module], opt_level: int
+        self, fragments: List[Tuple[str, str]], opt_level: int
     ) -> List[ObjectFile]:
         return [
-            compile_fragment(m, opt_level, self.sanitize, memo=self.memo)
-            for m in modules
+            compile_fragment(text, name, opt_level, self.sanitize, memo=self.memo)
+            for name, text in fragments
         ]
 
 
@@ -584,27 +560,28 @@ class Odin:
         # *masters*: every patchable site is in (sites-always-compiled),
         # and the current enable state is realized by toggling below.
         split_real_ms = 0.0
-        pending = []  # [fragment, frag_module, content_key, master|None]
+        pending = []  # [fragment, text, content_key, master|None]
         for fragment in scheduler.changed_fragments:
             split_start = time.perf_counter()
-            frag_module = self._split_fragment(temp, fragment)
+            text = self._split_fragment(temp, fragment)
             split_real_ms += (time.perf_counter() - split_start) * 1000.0
             key = master = None
             if self.object_cache is not None:
                 key = fragment_content_key(
-                    frag_module,
+                    text,
                     self.opt_level,
                     self._probe_signature(scheduler, fragment),
                     self.variant_label,
                 )
                 master = self.object_cache.get(key)
-            pending.append([fragment, frag_module, key, master])
+            pending.append([fragment, text, key, master])
 
         misses = [entry for entry in pending if entry[3] is None]
         compile_real_start = time.perf_counter()
         if misses:
             compiled = self.compiler.compile_batch(
-                [entry[1] for entry in misses], self.opt_level
+                [(self._fragment_name(entry[0]), entry[1]) for entry in misses],
+                self.opt_level,
             )
             for entry, obj in zip(misses, compiled):
                 entry[3] = obj
@@ -618,7 +595,7 @@ class Odin:
 
         miss_ids = {id(entry) for entry in misses}
         for entry in pending:
-            fragment, _frag_module, key, master = entry
+            fragment, _text, key, master = entry
             disabled = scheduler.patchable_disabled(fragment)
             self.cache[fragment.id] = toggle_object(master, disabled)
             self._masters[fragment.id] = master
@@ -939,16 +916,24 @@ class Odin:
             if p.family and p.target_symbol() in symbols
         }))
 
-    def _split_fragment(self, temp: Module, fragment: Fragment) -> Module:
-        """Extract one fragment's (instrumented) module from the temp IR."""
-        frag_module = extract_module(
+    def _split_fragment(self, temp: Module, fragment: Fragment) -> str:
+        """One fragment's (instrumented) canonical IR text, printed
+        straight from the temp IR.
+
+        Equal to ``print_module`` of the fragment extracted from *temp*
+        (``extract_module`` then ``apply_fragment_linkage``), without
+        building that module.
+        """
+        return ExtractionPlan(
             temp,
-            [s for s in fragment.symbols],
-            copy_on_use=self.fragdef.copy_on_use,
-            name=f"{self.module.name}.frag{fragment.id}",
-        )
-        apply_fragment_linkage(frag_module, self.fragdef)
-        return frag_module
+            fragment.symbols,
+            self.fragdef.copy_on_use,
+            exported=self.fragdef.exported,
+        ).text()
+
+    def _fragment_name(self, fragment: Fragment) -> str:
+        """The module (and object) name of *fragment*'s compile."""
+        return f"{self.module.name}.frag{fragment.id}"
 
     # -- static analysis ------------------------------------------------------------
 

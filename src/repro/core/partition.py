@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import PartitionError
+from repro.ir.clone import fragment_linkage
 from repro.ir.module import Function, Module
 from repro.ir.values import GlobalAlias, GlobalValue, GlobalVariable
 from repro.opt.pass_manager import REQ_BOND, REQ_COPY_ON_USE, Requirement
@@ -268,12 +269,9 @@ def _copy_on_use_references(
 
 def apply_fragment_linkage(fragment_module: Module, fragdef: FragmentDefinition) -> None:
     """Set linkage inside an extracted fragment per the internalization
-    decision: exported symbols become external (stable ABI), everything
-    else defined here becomes internal (full IPO freedom)."""
+    decision (:func:`repro.ir.clone.fragment_linkage`): exported symbols
+    become external (stable ABI), everything else defined here becomes
+    internal (full IPO freedom)."""
     for symbol in fragment_module.symbols.values():
-        if symbol.is_declaration():
-            continue
-        if symbol.name in fragdef.exported:
-            symbol.linkage = "external"
-        else:
-            symbol.linkage = "internal"
+        if not symbol.is_declaration():
+            symbol.linkage = fragment_linkage(symbol.name, fragdef.exported)

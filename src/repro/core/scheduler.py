@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.core.partition import Fragment, apply_fragment_linkage
+from repro.core.partition import Fragment
 from repro.core.probe import Probe
 from repro.errors import ScheduleError
 from repro.ir.clone import extract_module_ex

@@ -7,29 +7,41 @@ the optimizer (simplifycfg, loop unroll) and the verifier.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.instructions import BranchInst, CallInst, SwitchInst
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import ConstantInt
 
 
-def reachable_blocks(fn: Function) -> List[BasicBlock]:
-    """Blocks reachable from the entry, in reverse-postorder."""
-    seen: Set[int] = set()
+def _reverse_postorder(
+    entry: BasicBlock, successors: Callable[[BasicBlock], List[BasicBlock]]
+) -> List[BasicBlock]:
+    """Reverse-postorder of the blocks depth-first search reaches from
+    *entry* along *successors*, visiting successors in list order.
+
+    An explicit stack, so CFGs of any depth fit.
+    """
+    seen: Set[int] = {id(entry)}
     order: List[BasicBlock] = []
-
-    def visit(block: BasicBlock) -> None:
-        if id(block) in seen:
-            return
-        seen.add(id(block))
-        for succ in block.successors():
-            visit(succ)
-        order.append(block)
-
-    visit(fn.entry)
+    stack = [(entry, iter(successors(entry)))]
+    while stack:
+        block, pending = stack[-1]
+        for succ in pending:
+            if id(succ) not in seen:
+                seen.add(id(succ))
+                stack.append((succ, iter(successors(succ))))
+                break
+        else:
+            stack.pop()
+            order.append(block)
     order.reverse()
     return order
+
+
+def reachable_blocks(fn: Function) -> List[BasicBlock]:
+    """Blocks reachable from the entry, in reverse-postorder."""
+    return _reverse_postorder(fn.entry, BasicBlock.successors)
 
 
 def feasible_successors(block: BasicBlock) -> List[BasicBlock]:
@@ -60,20 +72,7 @@ def executable_blocks(fn: Function) -> List[BasicBlock]:
     execute.  The probe-integrity sanitizer keys on this — deleting a
     probe there is a legitimate optimization, not a distortion.
     """
-    seen: Set[int] = set()
-    order: List[BasicBlock] = []
-
-    def visit(block: BasicBlock) -> None:
-        if id(block) in seen:
-            return
-        seen.add(id(block))
-        for succ in feasible_successors(block):
-            visit(succ)
-        order.append(block)
-
-    visit(fn.entry)
-    order.reverse()
-    return order
+    return _reverse_postorder(fn.entry, feasible_successors)
 
 
 def predecessor_map(fn: Function) -> Dict[BasicBlock, List[BasicBlock]]:

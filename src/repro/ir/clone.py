@@ -9,10 +9,14 @@ Two operations drive the whole Odin pipeline (§3.3):
 * :func:`extract_module` — fragment extraction: take a set of symbols to
   *define*, import (declare) everything else they reference, and clone
   "Copy-on-use" symbols locally so local optimization keeps its context.
+  An :class:`ExtractionPlan` decides that content once; it either builds
+  the module or prints its text without building it, which is how the
+  engine splits fragments out of the temporary IR.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import IRError
@@ -34,10 +38,12 @@ from repro.ir.instructions import (
     SwitchInst,
     UnreachableInst,
 )
+from repro.ir.analysis import reachable_blocks
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import FunctionType
+from repro.ir.printer import print_alias, print_function, print_global
 from repro.ir.values import (
-    Argument,
+    LINKAGE_EXTERNAL,
+    LINKAGE_INTERNAL,
     Constant,
     GlobalAlias,
     GlobalValue,
@@ -144,8 +150,6 @@ def clone_function_body(source: Function, dest: Function, vmap: ValueMap) -> Non
     dominators precede dominatees in RPO).  Unreachable blocks are dropped;
     phi incomings from them are filtered out.
     """
-    from repro.ir.analysis import reachable_blocks
-
     if dest.blocks:
         raise IRError(f"@{dest.name} already has a body")
     for arg, new_arg in zip(source.args, dest.args):
@@ -252,6 +256,176 @@ class ClonedModule:
         return self.vmap.get(original)
 
 
+def fragment_linkage(name: str, exported) -> str:
+    """Linkage of a symbol a fragment defines (§3.2 step 4): exported
+    symbols keep a stable external ABI, everything else becomes internal
+    so local optimization has full IPO freedom."""
+    return LINKAGE_EXTERNAL if name in exported else LINKAGE_INTERNAL
+
+
+class ExtractionPlan:
+    """What a module extracted from *module* holds, decided once.
+
+    * ``definitions`` — the symbols in *define*, then the symbols in
+      *copy_on_use* they reference (transitively), in worklist order: the
+      paper's local cloning, "marked internal to prevent conflicts at
+      link time" (§3.2 step 2)
+    * ``imports`` — every other referenced symbol, declared under its own
+      name in first-reference order (§3.2 step 3: "importing a missing
+      symbol ensures IR correctness")
+    * :meth:`linkage` — each definition's linkage; with *exported* (a
+      fragment split), the :func:`fragment_linkage` rule that
+      ``apply_fragment_linkage`` applies to an extracted fragment
+
+    :meth:`clone` builds that module; :meth:`text` prints it straight
+    from *module* without building it, equal to ``print_module`` of the
+    clone.
+    """
+
+    def __init__(
+        self,
+        module: Module,
+        define: Iterable[str],
+        copy_on_use: Iterable[str] = (),
+        exported: Optional[Set[str]] = None,
+    ):
+        define = list(dict.fromkeys(define))
+        copy_set: Set[str] = set(copy_on_use)
+        # Copy-on-use clones of symbols the caller did not ask to define.
+        self._local = copy_set.difference(define)
+        self.exported = exported
+        self.definitions: List[GlobalValue] = []
+        refs: List[List[GlobalValue]] = []
+        defined: Set[str] = set()
+        # The scan-and-add operation is performed recursively, since a
+        # cloned symbol may reference previously-unseen missing symbols
+        # (§3.2 step 3).
+        worklist = deque(define)
+        while worklist:
+            sym_name = worklist.popleft()
+            if sym_name in defined:
+                continue
+            defined.add(sym_name)
+            symbol = module.get(sym_name)
+            self.definitions.append(symbol)
+            refs.append(_referenced_symbols(symbol))
+            for ref in refs[-1]:
+                if ref.name not in defined and ref.name in copy_set:
+                    worklist.append(ref.name)
+        for symbol in self.definitions:
+            if isinstance(symbol, GlobalAlias) and symbol.aliasee.name not in defined:
+                raise IRError(
+                    f"alias @{symbol.name} extracted without its aliasee "
+                    f"@{symbol.aliasee.name} (innate constraint violated)"
+                )
+        self.imports: List[GlobalValue] = []
+        for symbol_refs in refs:
+            for ref in symbol_refs:
+                if ref.name not in defined:
+                    defined.add(ref.name)
+                    self.imports.append(ref)
+
+    def linkage(self, symbol: GlobalValue) -> str:
+        """The linkage *symbol* gets as a definition of the extract."""
+        if self.exported is not None and not symbol.is_declaration():
+            return fragment_linkage(symbol.name, self.exported)
+        if symbol.name in self._local:
+            return LINKAGE_INTERNAL
+        return symbol.linkage
+
+    def clone(self, name: str) -> "Tuple[Module, ValueMap]":
+        """Build the extracted module; returns it with the value map."""
+        dest = Module(name)
+        vmap = ValueMap()
+        for symbol in self.definitions:
+            if isinstance(symbol, GlobalAlias):
+                continue  # created after aliasees exist
+            shell = _clone_symbol_shell(symbol, as_declaration=symbol.is_declaration())
+            shell.linkage = self.linkage(symbol)
+            dest.add(shell)
+            vmap.put(symbol, shell)
+        for symbol in self.definitions:
+            if isinstance(symbol, GlobalAlias):
+                alias = GlobalAlias(
+                    symbol.name, vmap.get(symbol.aliasee), self.linkage(symbol)
+                )
+                dest.add(alias)
+                vmap.put(symbol, alias)
+        for symbol in self.imports:
+            decl = declaration_for(symbol)
+            dest.add(decl)
+            vmap.put(symbol, decl)
+        for symbol in self.definitions:
+            if isinstance(symbol, Function) and not symbol.is_declaration():
+                clone_function_body(symbol, vmap.get(symbol), vmap)
+        return dest, vmap
+
+    def text(self) -> str:
+        """``print_module`` of :meth:`clone`, printed without cloning.
+
+        Sections follow ``print_module``: global variables, aliases, then
+        functions, each in the clone's symbol order (definitions before
+        imports).  A function body is printed over the blocks the clone
+        keeps, in the same order, with the same phi incomings.
+        """
+        variables: List[str] = []
+        aliases: List[str] = []
+        functions: List[str] = []
+        for symbol in self.definitions:
+            linkage = self.linkage(symbol)
+            if isinstance(symbol, GlobalAlias):
+                aliases.append(print_alias(symbol, linkage))
+            elif isinstance(symbol, GlobalVariable):
+                variables.append(print_global(symbol, linkage))
+            else:
+                functions.append(_function_text(symbol, linkage))
+        for symbol in self.imports:
+            decl = declaration_for(symbol)
+            if isinstance(decl, GlobalVariable):
+                variables.append(print_global(decl))
+            else:
+                functions.append(print_function(decl))
+        return "\n\n".join(variables + aliases + functions) + "\n"
+
+
+def _function_text(fn: Function, linkage: str) -> str:
+    """The text of *fn* as a clone of it prints."""
+    if fn.is_declaration():
+        return print_function(fn)
+    blocks = reachable_blocks(fn)
+    if _clone_keeps_names(fn, blocks):
+        return print_function(fn, linkage, blocks)
+    # The clone renames something (patch logic may name values by hand
+    # in the temporary IR it is given, §4): print an actual clone.
+    shell = _clone_symbol_shell(fn, as_declaration=False)
+    shell.linkage = linkage
+    clone_function_body(fn, shell, ValueMap())
+    return print_function(shell)
+
+
+def _clone_keeps_names(fn: Function, blocks: List[BasicBlock]) -> bool:
+    """Whether :func:`clone_function_body` keeps every name of *fn*.
+
+    The clone re-creates arguments, then *blocks*, then their values,
+    uniquifying each name as it goes; a name changes only when it is
+    empty or already taken.
+    """
+    values = [arg.name for arg in fn.args]
+    values.extend(
+        inst.name
+        for block in blocks
+        for inst in block.instructions
+        if not inst.type.is_void()
+    )
+    labels = [block.name for block in blocks]
+    return (
+        all(values)
+        and all(labels)
+        and len(set(values)) == len(values)
+        and len(set(labels)) == len(labels)
+    )
+
+
 def extract_module(
     module: Module,
     define: Iterable[str],
@@ -272,70 +446,12 @@ def extract_module_ex(
 
     * symbols in *define* are cloned as definitions (original linkage kept)
     * symbols in *copy_on_use* referenced (transitively) by the definitions
-      are cloned as **internal** definitions — the paper's local cloning,
-      "marked internal to prevent conflicts at link time" (§3.2 step 2)
+      are cloned as **internal** definitions
     * every other referenced symbol is imported as a declaration
-      (§3.2 step 3: "importing a missing symbol ensures IR correctness")
+
+    See :class:`ExtractionPlan`.
     """
-    define = list(dict.fromkeys(define))
-    copy_set: Set[str] = set(copy_on_use)
-    dest = Module(name)
-    vmap = ValueMap()
-
-    worklist: List[str] = list(define)
-    to_define: List[GlobalValue] = []
-    defined_names: Set[str] = set()
-
-    # The scan-and-add operation is performed recursively, since a cloned
-    # symbol may reference previously-unseen missing symbols (§3.2 step 3).
-    while worklist:
-        sym_name = worklist.pop(0)
-        if sym_name in defined_names:
-            continue
-        defined_names.add(sym_name)
-        symbol = module.get(sym_name)
-        to_define.append(symbol)
-        for ref in _referenced_symbols(symbol):
-            if ref.name in defined_names:
-                continue
-            if ref.name in copy_set:
-                worklist.append(ref.name)
-
-    # Create shells/declarations.
-    for symbol in to_define:
-        if isinstance(symbol, GlobalAlias):
-            continue
-        shell = _clone_symbol_shell(symbol, as_declaration=symbol.is_declaration())
-        if symbol.name in copy_set and symbol.name not in define:
-            shell.linkage = "internal"
-        dest.add(shell)
-        vmap.put(symbol, shell)
-    for symbol in to_define:
-        if isinstance(symbol, GlobalAlias):
-            aliasee = vmap.get_or_none(symbol.aliasee)
-            if aliasee is None:
-                raise IRError(
-                    f"alias @{symbol.name} extracted without its aliasee "
-                    f"@{symbol.aliasee.name} (innate constraint violated)"
-                )
-            alias = GlobalAlias(symbol.name, aliasee, symbol.linkage)
-            dest.add(alias)
-            vmap.put(symbol, alias)
-
-    # Imports for everything referenced but not defined here.
-    for symbol in to_define:
-        for ref in _referenced_symbols(symbol):
-            if ref.name in defined_names or ref.name in dest:
-                continue
-            decl = declaration_for(ref)
-            dest.add(decl)
-            vmap.put(ref, decl)
-
-    # Clone bodies.
-    for symbol in to_define:
-        if isinstance(symbol, Function) and not symbol.is_declaration():
-            clone_function_body(symbol, vmap.get(symbol), vmap)
-    return dest, vmap
+    return ExtractionPlan(module, define, copy_on_use).clone(name)
 
 
 def _referenced_symbols(symbol: GlobalValue) -> List[GlobalValue]:

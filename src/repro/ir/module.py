@@ -201,17 +201,20 @@ class Function(GlobalValue):
         return len(self.blocks)
 
     def referenced_globals(self) -> List[GlobalValue]:
-        """Global symbols referenced from this function's body, deduplicated."""
-        seen: List[GlobalValue] = []
-        for inst in self.instructions():
-            ops = list(inst.operands)
-            if isinstance(inst, PhiInst):
-                ops.extend(inst.used_values())
-            for op in ops:
-                if isinstance(op, GlobalValue) and op is not self:
-                    if all(op is not s for s in seen):
-                        seen.append(op)
-        return seen
+        """Global symbols referenced from this function's body,
+        deduplicated, in order of first reference."""
+        seen: Set[int] = {id(self)}
+        found: List[GlobalValue] = []
+        for block in self.blocks:
+            for inst in block.instructions:
+                ops = inst.operands
+                if isinstance(inst, PhiInst):
+                    ops = ops + inst.used_values()
+                for op in ops:
+                    if isinstance(op, GlobalValue) and id(op) not in seen:
+                        seen.add(id(op))
+                        found.append(op)
+        return found
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "declare" if self.is_declaration() else "define"

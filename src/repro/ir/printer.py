@@ -14,7 +14,7 @@ Produces an LLVM-flavoured rendering accepted back by
 
 from __future__ import annotations
 
-from typing import List
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from repro.ir.instructions import (
     AllocaInst,
@@ -36,6 +36,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import (
+    LINKAGE_INTERNAL,
     Constant,
     GlobalAlias,
     GlobalValue,
@@ -91,8 +92,7 @@ def print_instruction(inst: Instruction) -> str:
             return f"call void {callee}({args})"
         return f"%{inst.name} = call {inst.type} {callee}({args})"
     if isinstance(inst, PhiInst):
-        inc = ", ".join(f"[ {_name(v)}, %{b.name} ]" for v, b in inst.incoming)
-        return f"%{inst.name} = phi {inst.type} {inc}"
+        return _print_phi(inst, inst.incoming)
     if isinstance(inst, BranchInst):
         if inst.is_conditional:
             t, f = inst.targets
@@ -112,14 +112,41 @@ def print_instruction(inst: Instruction) -> str:
     raise TypeError(f"cannot print instruction {inst!r}")  # pragma: no cover
 
 
-def print_block(block: BasicBlock) -> str:
+def _print_phi(inst: PhiInst, incoming: Sequence[Tuple[Value, BasicBlock]]) -> str:
+    inc = ", ".join(f"[ {_name(v)}, %{b.name} ]" for v, b in incoming)
+    return f"%{inst.name} = phi {inst.type} {inc}"
+
+
+def print_block(block: BasicBlock, live: Optional[Collection[int]] = None) -> str:
+    """Render *block*; with *live* (block ids), drop phi incomings from
+    any block not in it."""
     lines = [f"{block.name}:"]
-    lines.extend(f"  {print_instruction(i)}" for i in block.instructions)
+    for inst in block.instructions:
+        if live is not None and isinstance(inst, PhiInst):
+            text = _print_phi(
+                inst, [(v, b) for v, b in inst.incoming if id(b) in live]
+            )
+        else:
+            text = print_instruction(inst)
+        lines.append(f"  {text}")
     return "\n".join(lines)
 
 
-def print_function(fn: Function) -> str:
-    linkage = f"{fn.linkage} " if fn.is_internal else ""
+def _linkage_prefix(linkage: str) -> str:
+    return f"{linkage} " if linkage == LINKAGE_INTERNAL else ""
+
+
+def print_function(
+    fn: Function,
+    linkage: Optional[str] = None,
+    blocks: Optional[Sequence[BasicBlock]] = None,
+) -> str:
+    """Render *fn*, under *linkage* in place of its own when given.
+
+    With *blocks*, the body is those blocks in that order and phi
+    incomings from any other block are dropped: the text a clone of just
+    those blocks prints.
+    """
     if fn.is_declaration():
         params = ", ".join(str(p) for p in fn.function_type.params)
         if fn.function_type.vararg:
@@ -129,21 +156,26 @@ def print_function(fn: Function) -> str:
     if fn.function_type.vararg:
         params = f"{params}, ..." if params else "..."
     header = f"{fn.return_type} @{fn.name}({params})"
-    body = "\n".join(print_block(b) for b in fn.blocks)
-    return f"define {linkage}{header} {{\n{body}\n}}"
+    if blocks is None:
+        body = "\n".join(print_block(b) for b in fn.blocks)
+    else:
+        live = {id(b) for b in blocks}
+        body = "\n".join(print_block(b, live) for b in blocks)
+    prefix = _linkage_prefix(fn.linkage if linkage is None else linkage)
+    return f"define {prefix}{header} {{\n{body}\n}}"
 
 
-def print_global(gv: GlobalVariable) -> str:
-    linkage = f"{gv.linkage} " if gv.is_internal else ""
+def print_global(gv: GlobalVariable, linkage: Optional[str] = None) -> str:
     kind = "const" if gv.is_const else "global"
     if gv.is_declaration():
         return f"@{gv.name} = declare {kind} {gv.value_type}"
-    return f"@{gv.name} = {linkage}{kind} {gv.value_type} {gv.initializer.ref()}"
+    prefix = _linkage_prefix(gv.linkage if linkage is None else linkage)
+    return f"@{gv.name} = {prefix}{kind} {gv.value_type} {gv.initializer.ref()}"
 
 
-def print_alias(alias: GlobalAlias) -> str:
-    linkage = f"{alias.linkage} " if alias.is_internal else ""
-    return f"@{alias.name} = {linkage}alias @{alias.aliasee.name}"
+def print_alias(alias: GlobalAlias, linkage: Optional[str] = None) -> str:
+    prefix = _linkage_prefix(alias.linkage if linkage is None else linkage)
+    return f"@{alias.name} = {prefix}alias @{alias.aliasee.name}"
 
 
 def print_module(module: Module) -> str:

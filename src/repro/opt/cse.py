@@ -71,24 +71,33 @@ class EarlyCSE(FunctionPass):
             if parent is not None:
                 children[parent].append(block)
 
-        changed = [False]
-
-        def walk(block: BasicBlock, table: Dict[Tuple, Instruction]) -> None:
-            local = dict(table)
-            for inst in list(block.instructions):
+        # Preorder over the dominator tree with an explicit stack (deep
+        # CFGs would overflow recursion).  A block sees the expressions of
+        # its dominators: its own entries are dropped from the scoped
+        # table once its whole subtree is walked.
+        changed = False
+        table: Dict[Tuple, Instruction] = {}
+        walk: List = [fn.entry]
+        while walk:
+            item = walk.pop()
+            if not isinstance(item, BasicBlock):
+                for key in item:
+                    del table[key]
+                continue
+            added: List[Tuple] = []
+            for inst in list(item.instructions):
                 key = _key(inst)
                 if key is None:
                     continue
-                hit = local.get(key)
+                hit = table.get(key)
                 if hit is not None:
                     fn.replace_all_uses(inst, hit)
                     inst.erase()
                     ctx.count("cse.eliminated")
-                    changed[0] = True
+                    changed = True
                 else:
-                    local[key] = inst
-            for child in children.get(block, ()):
-                walk(child, local)
-
-        walk(fn.entry, {})
-        return changed[0]
+                    table[key] = inst
+                    added.append(key)
+            walk.append(added)
+            walk.extend(reversed(children.get(item, ())))
+        return changed

@@ -108,7 +108,8 @@ class PromoteMem2Reg(FunctionPass):
             stack = current[id(alloca)]
             return stack[-1] if stack else UndefValue(alloca.allocated_type)
 
-        def rename(block: BasicBlock) -> None:
+        def rename(block: BasicBlock) -> List[int]:
+            """Rename *block*; returns the allocas it pushed values for."""
             pushed: List[int] = []
             for inst in list(block.instructions):
                 if isinstance(inst, PhiInst) and id(inst) in phi_owner:
@@ -127,12 +128,20 @@ class PromoteMem2Reg(FunctionPass):
                     owner = phi_owner.get(id(phi))
                     if owner is not None and not any(b is block for _, b in phi.incoming):
                         phi.add_incoming(value_of(owner), block)
-            for child in children.get(block, ()):
-                rename(child)
-            for key in pushed:
-                current[key].pop()
+            return pushed
 
-        rename(fn.entry)
+        # Preorder over the dominator tree with an explicit stack (deep
+        # CFGs would overflow recursion): a block's pushes are popped once
+        # its whole subtree is renamed.
+        walk: List = [fn.entry]
+        while walk:
+            item = walk.pop()
+            if isinstance(item, BasicBlock):
+                walk.append(rename(item))
+                walk.extend(reversed(children.get(item, ())))
+            else:
+                for key in item:
+                    current[key].pop()
 
         # Phase 3: drop the allocas (and any code left in unreachable blocks
         # that still mentions them is removed with those blocks).

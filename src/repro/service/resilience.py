@@ -17,10 +17,10 @@ millisecond.  This module is the service's answer — degrade, never die:
   :class:`~repro.service.workers.WorkerError` (crash or hang) tears the
   pool down, rebuilds it and retries the batch; when a rung keeps
   failing the ladder escalates ``process -> serial`` (PartiSan style:
-  degrade capacity, preserve correctness).  Because
-  ``compile_fragment`` consumes its module in place, every batch is
-  snapshotted as printed IR before the first attempt and retries re-parse
-  pristine copies — a half-optimized module can never be compiled twice.
+  degrade capacity, preserve correctness).  A batch is immutable
+  ``(name, text)`` pairs that every attempt parses afresh, so a retry
+  needs no restoring: a half-optimized module can never be compiled
+  twice.
 
 Everything here reports into the shared metrics registry
 (``worker_restarts``, ``worker_degradations``, ``degraded_mode``,
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.backend.machine import ObjectFile
-from repro.ir.module import Module
 from repro.service.workers import (
     MODE_PROCESS,
     MODE_SERIAL,
@@ -251,8 +250,8 @@ class SupervisedCompiler:
     stages:
 
     1. **restart + retry** — a :class:`WorkerError` tears the current
-       pool down (``worker_restarts``) and the batch is retried from its
-       pristine IR snapshot, backing off per the :class:`RetryPolicy`;
+       pool down (``worker_restarts``) and the same batch is retried,
+       backing off per the :class:`RetryPolicy`;
     2. **degrade** — a rung that exhausts its retries is closed for good
        and the next rung takes over (``degraded_mode`` gauge: rung
        index); a process pool falls back to the serial floor;
@@ -260,7 +259,7 @@ class SupervisedCompiler:
        error propagate (it is then a real compile error, not a fault).
 
     ``fault_injector`` is the chaos hook: called before every attempt
-    with ``(compiler, modules, attempt)``; raising a ``WorkerError``
+    with ``(compiler, fragments, attempt)``; raising a ``WorkerError``
     from it simulates a crash/hang at exactly that point.
     """
 
@@ -340,33 +339,20 @@ class SupervisedCompiler:
     # -- compilation -----------------------------------------------------------
 
     def compile_batch(
-        self, modules: List[Module], opt_level: int
+        self, fragments: List[Tuple[str, str]], opt_level: int
     ) -> List[ObjectFile]:
         with self._lock:
-            # ``compile_fragment`` rewrites its module in place, so a
-            # failed attempt leaves half-optimized IR behind.  Snapshot
-            # the batch as printed IR up front; retries re-parse pristine
-            # copies (the same canonical text the process pool ships).
-            snapshot = None
-            if self.retry.max_attempts > 1 or len(self.ladder) > 1:
-                from repro.ir.printer import print_module
-
-                # Names ride along: printed IR does not carry them, and
-                # they end up in the objects' canonical bytes.
-                snapshot = [(m.name, print_module(m)) for m in modules]
-            batch = modules
             last_error: Optional[WorkerError] = None
             while True:
                 compiler = self._current()
                 for attempt in range(1, self.retry.max_attempts + 1):
                     try:
                         if self.fault_injector is not None:
-                            self.fault_injector(self, batch, attempt)
-                        return compiler.compile_batch(batch, opt_level)
+                            self.fault_injector(self, fragments, attempt)
+                        return compiler.compile_batch(fragments, opt_level)
                     except WorkerError as error:
                         last_error = error
                         self._note_restart(compiler, error, attempt)
-                        batch = self._restore(snapshot, batch)
                         if attempt < self.retry.max_attempts:
                             self._sleep(self.retry.delay_s(attempt))
                 if self._rung + 1 >= len(self.ladder):
@@ -375,16 +361,6 @@ class SupervisedCompiler:
                         f"ladder failed"
                     ) from last_error
                 self._degrade(last_error)
-
-    @staticmethod
-    def _restore(
-        snapshot: Optional[List[Tuple[str, str]]], batch: List[Module]
-    ) -> List[Module]:
-        if snapshot is None:  # pragma: no cover - retries imply a snapshot
-            return batch
-        from repro.ir.parser import parse_module
-
-        return [parse_module(text, name) for name, text in snapshot]
 
     def _note_restart(self, compiler, error: WorkerError, attempt: int) -> None:
         restart = getattr(compiler, "restart", None)

@@ -10,10 +10,10 @@ regardless of completion order, which keeps reports and the simulated
 clock deterministic for any worker count):
 
 * ``serial``  — in-process loop; byte-identical to the classic engine.
-* ``process`` — ``ProcessPoolExecutor``; fragment IR is shipped as
-  printed text (module graphs hold interned types that must not cross
-  process boundaries) and re-parsed in the worker, the same canonical
-  text content addressing hashes.
+* ``process`` — ``ProcessPoolExecutor``; each fragment's ``(name, text)``
+  pair is shipped as given, the same canonical text content addressing
+  hashes, and parsed in the worker by the same
+  :func:`~repro.core.engine.compile_fragment` the serial loop calls.
 
 The pool uses processes, not threads: compiling is CPU-bound Python,
 which threads would run one at a time under the interpreter lock.
@@ -42,17 +42,11 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.backend.machine import ObjectFile
-from repro.core.engine import (
-    InlineFragmentCompiler,
-    compile_fragment,
-    compile_fragment_text,
-)
+from repro.core.engine import InlineFragmentCompiler, compile_fragment
 from repro.errors import ReproError
-from repro.ir.module import Module
-from repro.ir.printer import print_module
 
 MODE_SERIAL = "serial"
 MODE_PROCESS = "process"
@@ -77,7 +71,8 @@ class WorkerTimeoutError(WorkerError):
 
 
 class ProcessFragmentCompiler:
-    """Compile a batch on a supervised process pool, shipping printed IR."""
+    """Compile a batch of ``(name, text)`` fragments on a supervised
+    process pool."""
 
     def __init__(
         self, workers: int = 2, batch_timeout_s: Optional[float] = None
@@ -90,24 +85,25 @@ class ProcessFragmentCompiler:
         self.restarts = 0
         self._pool = None
 
-    def _submit(self, pool, module: Module, opt_level: int):
-        # Ship the module name too: the printed IR does not carry it, and
-        # it is part of the object's canonical bytes (see
-        # ``compile_fragment_text``).
-        return pool.submit(
-            compile_fragment_text, print_module(module), opt_level,
-            name=module.name,
-        )
+    def _submit(self, pool, fragment: Tuple[str, str], opt_level: int):
+        name, text = fragment
+        return pool.submit(compile_fragment, text, name, opt_level)
 
     def compile_batch(
-        self, modules: List[Module], opt_level: int
+        self, fragments: List[Tuple[str, str]], opt_level: int
     ) -> List[ObjectFile]:
-        if len(modules) <= 1 or self.workers == 1:
-            return [compile_fragment(m, opt_level) for m in modules]
+        if len(fragments) <= 1 or self.workers == 1:
+            return [
+                compile_fragment(text, name, opt_level)
+                for name, text in fragments
+            ]
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
-            futures = [self._submit(self._pool, m, opt_level) for m in modules]
+            futures = [
+                self._submit(self._pool, fragment, opt_level)
+                for fragment in fragments
+            ]
         except BrokenExecutor as error:
             self.restart()
             raise WorkerCrashError(

@@ -5,6 +5,7 @@ import pytest
 from repro.check.faults import run_fault_checks
 from repro.core.engine import compile_fragment, object_fingerprint
 from repro.frontend.codegen import compile_source
+from repro.ir.printer import print_module
 from repro.service.cache import PersistentCodeCache
 
 SRC = """
@@ -14,7 +15,7 @@ int main(void) { return 0; }
 
 
 def small_object():
-    return compile_fragment(compile_source(SRC, "small"))
+    return compile_fragment(print_module(compile_source(SRC, "small")), "small")
 
 
 class TestFaultSuite:

@@ -45,12 +45,13 @@ class TestRecordingCache:
     def test_detects_key_collision_with_different_bytes(self):
         from repro.core.engine import compile_fragment
         from repro.frontend.codegen import compile_source
+        from repro.ir.printer import print_module
 
         obj_a = compile_fragment(
-            compile_source("int main(void) { return 1; }", "a")
+            print_module(compile_source("int main(void) { return 1; }", "a")), "a"
         )
         obj_b = compile_fragment(
-            compile_source("int main(void) { return 2; }", "b")
+            print_module(compile_source("int main(void) { return 2; }", "b")), "b"
         )
         cache = RecordingCache()
         cache.put("samekey", obj_a)

@@ -31,21 +31,22 @@ int main(void) { return work(9); }
 
 
 def fragment():
-    return compile_source(SOURCE, "memofrag")
+    """The fragment's canonical text, as the engine's split prints it."""
+    return print_module(compile_source(SOURCE, "memofrag"))
 
 
 class TestMemoKey:
     def test_key_is_deterministic(self):
-        text = print_module(fragment())
+        text = fragment()
         assert memo_key(text, 2, False) == memo_key(text, 2, False)
 
     def test_key_depends_on_input_ir(self):
-        a = print_module(fragment())
+        a = fragment()
         b = a.replace("9", "7")
         assert memo_key(a, 2, False) != memo_key(b, 2, False)
 
     def test_key_depends_on_pipeline(self):
-        text = print_module(fragment())
+        text = fragment()
         keys = {
             memo_key(text, 0, False),
             memo_key(text, 2, False),
@@ -65,11 +66,11 @@ class TestMemoKey:
 class TestMemoReplay:
     def test_hit_skips_optimize_and_matches_cold_bytes(self):
         memo = PassMemoCache()
-        cold = compile_fragment(fragment(), 2, memo=memo)
+        cold = compile_fragment(fragment(), "memofrag", 2, memo=memo)
         assert memo.puts == 1 and memo.hits == 0
         assert not cold.stage_breakdown.get("memo_hit")
 
-        warm = compile_fragment(fragment(), 2, memo=memo)
+        warm = compile_fragment(fragment(), "memofrag", 2, memo=memo)
         assert memo.hits == 1
         assert warm.stage_breakdown["memo_hit"] is True
         assert warm.stage_breakdown["optimize_ms"] == 0.0
@@ -86,7 +87,7 @@ class TestMemoReplay:
     def test_memoized_ir_roundtrips_through_parser(self):
         """The snapshot is parseable text — the replay's preconditions."""
         memo = PassMemoCache()
-        compile_fragment(fragment(), 2, memo=memo)
+        compile_fragment(fragment(), "memofrag", 2, memo=memo)
         ((entry, _size),) = memo._entries.values()
         assert isinstance(entry, MemoEntry)
         replayed = parse_module(entry.ir_text, "memofrag")
@@ -94,8 +95,8 @@ class TestMemoReplay:
 
     def test_different_opt_levels_do_not_alias(self):
         memo = PassMemoCache()
-        compile_fragment(fragment(), 2, memo=memo)
-        o0 = compile_fragment(fragment(), 0, memo=memo)
+        compile_fragment(fragment(), "memofrag", 2, memo=memo)
+        o0 = compile_fragment(fragment(), "memofrag", 0, memo=memo)
         assert memo.hits == 0 and memo.puts == 2
         assert not o0.stage_breakdown.get("memo_hit")
 

@@ -14,14 +14,16 @@ import time
 import pytest
 
 from repro.core.engine import (
+    InlineFragmentCompiler,
     Odin,
     compile_fragment,
-    compile_fragment_text,
     object_fingerprint,
 )
+from repro.core.partition import apply_fragment_linkage
 from repro.core.scheduler import Scheduler
 from repro.frontend.codegen import compile_source
 from repro.instrument.coverage import OdinCov
+from repro.ir.clone import extract_module
 from repro.ir.printer import print_module
 from repro.obs.metrics import MetricsRegistry
 from repro.programs.registry import get_program
@@ -52,8 +54,12 @@ int main(void) { return helper(2); }
 """
 
 
-def modules(n=2):
-    return [compile_source(SRC, f"frag{i}") for i in range(n)]
+def fragments(n=2):
+    """A batch of ``(name, text)`` fragments, as the engine hands them out."""
+    return [
+        (f"frag{i}", print_module(compile_source(SRC, f"frag{i}")))
+        for i in range(n)
+    ]
 
 
 # -- retry policy ------------------------------------------------------------------
@@ -181,11 +187,11 @@ class FlakyCompiler:
         self.restarts = 0
         self.closed = False
 
-    def compile_batch(self, modules, opt_level):
+    def compile_batch(self, batch, opt_level):
         self.calls += 1
         if self.calls <= self.fail_times:
             raise self.error("boom")
-        return [compile_fragment(m, opt_level) for m in modules]
+        return [compile_fragment(text, name, opt_level) for name, text in batch]
 
     def restart(self):
         self.restarts += 1
@@ -203,7 +209,7 @@ def make_supervised(mode="process", **kw):
 class TestSupervisedCompiler:
     def test_passthrough_when_healthy(self):
         sup = make_supervised()
-        objs = sup.compile_batch(modules(), 2)
+        objs = sup.compile_batch(fragments(), 2)
         assert len(objs) == 2
         assert not sup.degraded
         sup.close()
@@ -213,7 +219,7 @@ class TestSupervisedCompiler:
         sup = make_supervised(metrics=metrics)
         flaky = FlakyCompiler(fail_times=1)
         sup._compilers[0] = flaky
-        objs = sup.compile_batch(modules(), 2)
+        objs = sup.compile_batch(fragments(), 2)
         assert len(objs) == 2
         assert flaky.restarts == 1
         assert sup.worker_restarts == 1
@@ -223,12 +229,12 @@ class TestSupervisedCompiler:
     def test_retry_result_matches_clean_compile(self):
         """A batch that survives a restart compiles byte-identically."""
         clean = [
-            object_fingerprint(compile_fragment(m, 2))
-            for m in modules()
+            object_fingerprint(compile_fragment(text, name, 2))
+            for name, text in fragments()
         ]
         sup = make_supervised()
         sup._compilers[0] = FlakyCompiler(fail_times=1)
-        objs = sup.compile_batch(modules(), 2)
+        objs = sup.compile_batch(fragments(), 2)
         assert [object_fingerprint(o) for o in objs] == clean
 
     def test_degrades_through_the_ladder(self):
@@ -236,7 +242,7 @@ class TestSupervisedCompiler:
         sup = make_supervised("process", metrics=metrics)
         always = FlakyCompiler(fail_times=10**9)
         sup._compilers[0] = always
-        objs = sup.compile_batch(modules(), 2)  # serial floor serves it
+        objs = sup.compile_batch(fragments(), 2)  # serial floor serves it
         assert len(objs) == 2
         assert sup.degraded
         assert sup.mode == "serial"
@@ -253,7 +259,7 @@ class TestSupervisedCompiler:
         sup = make_supervised("serial")
         sup._compilers[0] = FlakyCompiler(fail_times=10**9)
         with pytest.raises(WorkerError, match="degradation ladder failed"):
-            sup.compile_batch(modules(), 2)
+            sup.compile_batch(fragments(), 2)
 
     def test_fault_injector_hook_drives_retries(self):
         fired = []
@@ -264,7 +270,7 @@ class TestSupervisedCompiler:
                 raise WorkerCrashError("chaos says hi")
 
         sup = make_supervised(fault_injector=injector)
-        objs = sup.compile_batch(modules(), 2)
+        objs = sup.compile_batch(fragments(), 2)
         assert len(objs) == 2
         assert fired == [1]
         assert sup.worker_restarts == 1
@@ -301,7 +307,7 @@ class TestPoolSupervision:
         try:
             start = time.perf_counter()
             with pytest.raises(WorkerTimeoutError):
-                pool.compile_batch(modules(), 2)
+                pool.compile_batch(fragments(), 2)
             assert time.perf_counter() - start < 5.0  # detected, not awaited
             assert pool.restarts == 1
         finally:
@@ -329,7 +335,7 @@ class TestPoolSupervision:
             # fails the siblings still queued behind the blocked ones
             # must be cancelled rather than awaited.
             with pytest.raises(ValueError, match="bad fragment"):
-                pool.compile_batch(modules(8), 2)
+                pool.compile_batch(fragments(8), 2)
             assert time.perf_counter() - start < 5.0
             assert any(f.cancelled() for f in submitted)
         finally:
@@ -343,12 +349,12 @@ class TestPoolSupervision:
         pool = ProcessFragmentCompiler(2, batch_timeout_s=30.0)
         pool._submit = lambda p, m, o: p.submit(os._exit, 13)
         with pytest.raises(WorkerCrashError):
-            pool.compile_batch(modules(), 2)
+            pool.compile_batch(fragments(), 2)
         assert pool.restarts == 1
         # The restarted pool (with the crashing submit hook removed)
         # works again.
         del pool._submit
-        objs = pool.compile_batch(modules(), 2)
+        objs = pool.compile_batch(fragments(), 2)
         assert len(objs) == 2
         pool.close()
 
@@ -359,7 +365,7 @@ class TestPoolSupervision:
 class TestProcessNameFidelity:
     def test_text_roundtrip_preserves_object_name(self):
         m = compile_source(SRC, "named_fragment")
-        obj = compile_fragment_text(print_module(m), 2, False, m.name)
+        obj = compile_fragment(print_module(m), m.name, 2)
         assert obj.name == "named_fragment"
 
     def test_extracted_fragment_matches_text_roundtrip(self):
@@ -369,7 +375,9 @@ class TestProcessNameFidelity:
         names depended on the module's name counter: compiling the
         extracted module and compiling its printed text used to
         fingerprint differently, so process-pool rebuilds were not
-        byte-equivalent to serial ones.
+        byte-equivalent to serial ones.  Every pool now compiles the
+        split's text; its objects must equal those of the extracted
+        module's text, inline and across processes.
         """
         program = get_program("lcms")
         engine = Odin(program.compile(), preserve=("main", "run_input"))
@@ -380,16 +388,30 @@ class TestProcessNameFidelity:
             engine.manager.mark_changed(probe)
         sched = Scheduler(engine)
         assert sched.changed_fragments
+        batch, reference = [], []
         for fragment in sched.changed_fragments:
-            extracted = engine._split_fragment(sched.temp_module, fragment)
-            text = print_module(extracted)
-            inline_obj = compile_fragment(extracted, engine.opt_level)
-            pool_obj = compile_fragment_text(
-                text, engine.opt_level, False, extracted.name
+            name = engine._fragment_name(fragment)
+            batch.append((name, engine._split_fragment(sched.temp_module, fragment)))
+            extracted = extract_module(
+                sched.temp_module, fragment.symbols,
+                copy_on_use=engine.fragdef.copy_on_use, name=name,
             )
-            assert object_fingerprint(inline_obj) == object_fingerprint(
-                pool_obj
-            ), f"fragment #{fragment.id} diverged"
+            apply_fragment_linkage(extracted, engine.fragdef)
+            reference.append(object_fingerprint(
+                compile_fragment(print_module(extracted), name, engine.opt_level)
+            ))
+        inline = InlineFragmentCompiler().compile_batch(batch, engine.opt_level)
+        pool = ProcessFragmentCompiler(2)
+        try:
+            pooled = pool.compile_batch(batch, engine.opt_level)
+        finally:
+            pool.close()
+        for fragment, want, a, b in zip(
+            sched.changed_fragments, reference, inline, pooled
+        ):
+            assert object_fingerprint(a) == want, f"fragment #{fragment.id} diverged"
+            assert object_fingerprint(b) == want, f"fragment #{fragment.id} diverged"
+            assert a.name == b.name == engine._fragment_name(fragment)
 
 
 # -- service-level fault tolerance -------------------------------------------------

@@ -270,19 +270,16 @@ class TestWorkerPool:
         engine.manager._dirty_symbols.update(engine.fragdef.owner.keys())
         sched = engine.manager.schedule()
         sched.apply_probes()
-        modules = [
-            engine._split_fragment(sched.temp_module, f)
+        batch = [
+            (engine._fragment_name(f), engine._split_fragment(sched.temp_module, f))
             for f in sched.changed_fragments[:2]
         ]
         from repro.core.engine import compile_fragment
-        from repro.ir.parser import parse_module
-        from repro.ir.printer import print_module
 
-        reparsed = [parse_module(print_module(m)) for m in modules]
-        serial = [compile_fragment(m, 2) for m in modules]
+        serial = [compile_fragment(text, name, 2) for name, text in batch]
         pool = ProcessFragmentCompiler(workers=2)
         try:
-            pooled = pool.compile_batch(reparsed, 2)
+            pooled = pool.compile_batch(batch, 2)
         finally:
             pool.close()
         for a, b in zip(serial, pooled):

@@ -22,9 +22,9 @@ class TestContentKeys:
         program = get_program("json")
         engine = Odin(program.compile(), preserve=PRESERVED)
         for fragment in engine.fragdef.fragments:
-            frag_module = engine._split_fragment(engine.module, fragment)
+            text = engine._split_fragment(engine.module, fragment)
             keys = {
-                fragment_content_key(frag_module, 2, "", label)
+                fragment_content_key(text, 2, "", label)
                 for label in ("", FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED)
             }
             assert len(keys) == 4  # every label gets its own key space
@@ -33,10 +33,10 @@ class TestContentKeys:
         program = get_program("json")
         engine = Odin(program.compile(), preserve=PRESERVED)
         fragment = engine.fragdef.fragments[0]
-        frag_module = engine._split_fragment(engine.module, fragment)
+        text = engine._split_fragment(engine.module, fragment)
         assert fragment_content_key(
-            frag_module, 2, "", "clean"
-        ) == fragment_content_key(frag_module, 2, "", "clean")
+            text, 2, "", "clean"
+        ) == fragment_content_key(text, 2, "", "clean")
 
 
 class TestSharedObjectCache:
@@ -73,12 +73,14 @@ class TestSharedObjectCache:
         program = get_program("json")
         engine = Odin(program.compile(), preserve=PRESERVED)
         fragment = engine.fragdef.fragments[0]
-        frag_module = engine._split_fragment(engine.module, fragment)
+        text = engine._split_fragment(engine.module, fragment)
         from repro.core.engine import InlineFragmentCompiler
 
-        clean_key = fragment_content_key(frag_module, 2, "", "clean")
-        other_key = fragment_content_key(frag_module, 2, "", "sanitized")
-        obj = InlineFragmentCompiler().compile_batch([frag_module], 2)[0]
+        clean_key = fragment_content_key(text, 2, "", "clean")
+        other_key = fragment_content_key(text, 2, "", "sanitized")
+        obj = InlineFragmentCompiler().compile_batch(
+            [(engine._fragment_name(fragment), text)], 2
+        )[0]
         cache = PersistentCodeCache(str(tmp_path / "cache"))
         cache.put(clean_key, obj)
         assert cache.get(clean_key) is not None
