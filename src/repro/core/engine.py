@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 
 from repro.backend.isel import lower_module
 from repro.backend.machine import ObjectFile
-from repro.backend.patching import toggle_object
+from repro.backend.patching import SiteIndex, toggle_object
 from repro.core.manager import PatchManager
 from repro.core.partition import (
     Fragment,
@@ -439,9 +439,12 @@ class Odin:
         # the current enable/disable state; `_site_sets` records which
         # patchable site ids the master carries (a mismatch with the live
         # probe set forces a full recompile); `_master_keys` the master's
-        # content key.
+        # content key; `_site_indexes` the master's `SiteIndex`, built on
+        # its first toggle that disables anything (kept here, not on the
+        # object, which the code caches pickle).
         self.enable_patching = enable_patching
         self._masters: Dict[int, ObjectFile] = {}
+        self._site_indexes: Dict[int, SiteIndex] = {}
         self._site_sets: Dict[int, frozenset] = {}
         self._master_keys: Dict[int, str] = {}
         self.executable: Optional[Executable] = None
@@ -541,7 +544,7 @@ class Odin:
         for fragment in scheduler.patched_fragments:
             master = self._masters[fragment.id]
             disabled = scheduler.patch_disabled[fragment.id]
-            self.cache[fragment.id] = toggle_object(master, disabled)
+            self.cache[fragment.id] = self._toggle(fragment.id, disabled)
             master_key = self._master_keys.get(fragment.id)
             if master_key is not None:
                 self._frag_keys[fragment.id] = self._toggled_key(
@@ -597,8 +600,10 @@ class Odin:
         for entry in pending:
             fragment, _text, key, master = entry
             disabled = scheduler.patchable_disabled(fragment)
-            self.cache[fragment.id] = toggle_object(master, disabled)
-            self._masters[fragment.id] = master
+            if self._masters.get(fragment.id) is not master:
+                self._masters[fragment.id] = master
+                self._site_indexes.pop(fragment.id, None)
+            self.cache[fragment.id] = self._toggle(fragment.id, disabled)
             self._site_sets[fragment.id] = scheduler.patchable_sites(fragment)
             if key is not None:
                 self._master_keys[fragment.id] = key
@@ -669,6 +674,16 @@ class Odin:
         self.tracer.record(report.trace)
         self.history.append(report)
         return report
+
+    def _toggle(self, fragment_id: int, disabled: frozenset) -> ObjectFile:
+        """The fragment's master with the sites of *disabled* deleted."""
+        master = self._masters[fragment_id]
+        index = None
+        if disabled:
+            index = self._site_indexes.get(fragment_id)
+            if index is None:
+                index = self._site_indexes[fragment_id] = SiteIndex(master)
+        return toggle_object(master, disabled, index)
 
     @staticmethod
     def _toggled_key(master_key: str, disabled: frozenset) -> str:

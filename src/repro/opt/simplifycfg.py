@@ -188,6 +188,10 @@ class SimplifyCFG(FunctionPass):
     @staticmethod
     def _skip_forwarding_blocks(fn: Function, ctx: OptContext) -> bool:
         changed = False
+        # One map for the sweep, built at the first candidate and kept
+        # exact below, order included: a block's predecessor order is the
+        # order of the phi incomings a forward adds.
+        pred_map = order = None
         for block in list(fn.blocks):
             if block is fn.entry or block.parent is None:
                 continue
@@ -199,11 +203,14 @@ class SimplifyCFG(FunctionPass):
             target = term.targets[0]
             if target is block:
                 continue
-            preds = block.predecessors()
+            if pred_map is None:
+                pred_map = predecessor_map(fn)
+                order = {b: i for i, b in enumerate(fn.blocks)}
+            preds = pred_map[block]
             if not preds:
                 continue
             # Safe only if retargeting creates no conflicting phi edges.
-            target_pred_ids = {id(p) for p in target.predecessors()}
+            target_pred_ids = {id(p) for p in pred_map[target]}
             if any(id(p) in target_pred_ids for p in preds) and target.phis():
                 continue
             if target.phis() and any(
@@ -221,6 +228,12 @@ class SimplifyCFG(FunctionPass):
                 if isinstance(pterm, (BranchInst, SwitchInst)):
                     pterm.replace_target(block, target)
             fn.remove_block(block)
+            # Blocks are only removed during the sweep, so `order` still
+            # sorts the survivors into `fn.blocks` order.
+            pred_map[target] = sorted(
+                {*pred_map[target], *preds} - {block}, key=order.__getitem__
+            )
+            del pred_map[block]
             ctx.count("simplifycfg.forwarded")
             changed = True
         return changed
@@ -229,6 +242,8 @@ class SimplifyCFG(FunctionPass):
 
     def _speculate(self, fn: Function, ctx: OptContext) -> bool:
         changed = False
+        # One map for the sweep; `_try_speculate` keeps its entries exact
+        # as sets (only their lengths are read here).
         preds = predecessor_map(fn)
         for block in list(fn.blocks):
             if block.parent is None:
@@ -241,7 +256,6 @@ class SimplifyCFG(FunctionPass):
                 continue
             if self._try_speculate(fn, block, term, then_block, else_block, preds, ctx):
                 changed = True
-                preds = predecessor_map(fn)  # the rewrite removed blocks
         return changed
 
     def _try_speculate(
@@ -288,6 +302,14 @@ class SimplifyCFG(FunctionPass):
                 IRBuilder.at_end(block).br(join)
                 fn.remove_block(then_block)
                 fn.remove_block(else_block)
+                # Neither arm was `block`, so `block` was not yet a
+                # predecessor of `join`.
+                del preds[then_block], preds[else_block]
+                preds[join] = [
+                    p for p in preds[join]
+                    if p is not then_block and p is not else_block
+                ]
+                preds[join].append(block)
                 ctx.count("simplifycfg.speculated_diamond")
                 return True
 
@@ -315,6 +337,9 @@ class SimplifyCFG(FunctionPass):
                 term.erase()
                 IRBuilder.at_end(block).br(join)
                 fn.remove_block(arm)
+                # `block` already entered `join` by the direct edge.
+                del preds[arm]
+                preds[join] = [p for p in preds[join] if p is not arm]
                 ctx.count("simplifycfg.speculated_triangle")
                 return True
         return False

@@ -1,17 +1,24 @@
-"""Deep CFGs: the block walks use explicit stacks, not recursion.
+"""Deep CFGs: the block walks use explicit stacks, not recursion, and
+simplifycfg's sweeps stay linear.
 
 A function of N sequential ``if`` statements has a chain of about 2N
 blocks, each dominating the next.  Walking it recursively needs a frame
 per block: 600 ``if``s used to overflow the interpreter's recursion
 limit in ``reachable_blocks`` (reached from ``verify_module``), and 1,000
-in mem2reg's renaming walk.
+in mem2reg's renaming walk.  Rebuilding the predecessor map after each
+speculation, and scanning every terminator for each forwarding block,
+made simplifycfg quadratic in N.
 """
 
 import sys
 
+import pytest
+
+import repro.opt.simplifycfg as simplifycfg
 from repro.core.engine import Odin
 from repro.frontend.codegen import compile_source
 from repro.ir.analysis import executable_blocks, reachable_blocks
+from repro.ir.module import BasicBlock
 from repro.ir.verifier import verify_module
 from repro.opt.cse import EarlyCSE
 from repro.opt.mem2reg import PromoteMem2Reg
@@ -29,6 +36,18 @@ def if_chain(n: int) -> str:
     )
     return (
         "int main(void) {\n    int a;\n    int x;\n    a = 2;\n    x = 3;\n"
+        f"{body}\n    return x & 127;\n}}\n"
+    )
+
+
+def empty_if_chain(n: int) -> str:
+    """``main`` with *n* sequential ``if``s with empty bodies: each leaves
+    a block that only branches on to its join."""
+    body = "\n".join(
+        f"    if (x > {i % 7}) {{ }}\n    x = x + {i % 5};" for i in range(n)
+    )
+    return (
+        "int main(void) {\n    int x;\n    x = 3;\n"
         f"{body}\n    return x & 127;\n}}\n"
     )
 
@@ -70,3 +89,50 @@ def test_walks_fit_a_recursion_limit_below_the_chain_length():
         sys.setrecursionlimit(limit)
     verify_module(module)
     assert ctx.stats["cse.eliminated"] >= 199
+
+
+@pytest.mark.parametrize("source, rewrite", [
+    (if_chain(200), "simplifycfg.speculated_triangle"),
+    (empty_if_chain(200), "simplifycfg.forwarded"),
+], ids=["speculate", "forward"])
+def test_simplifycfg_builds_at_most_one_predecessor_map_per_sweep(
+    monkeypatch, source, rewrite
+):
+    module = compile_source(source, "chain")
+    fn = module.get("main")
+    assert PromoteMem2Reg().run_on_function(fn, module, OptContext())
+
+    # One [sweep, maps built] row per sweep that runs.
+    sweeps = []
+    build_map = simplifycfg.predecessor_map
+
+    def counted_map(f):
+        sweeps[-1][1] += 1
+        return build_map(f)
+
+    predecessors_calls = []
+    block_predecessors = BasicBlock.predecessors
+
+    def counted_predecessors(block):
+        predecessors_calls.append(block)
+        return block_predecessors(block)
+
+    monkeypatch.setattr(simplifycfg, "predecessor_map", counted_map)
+    monkeypatch.setattr(BasicBlock, "predecessors", counted_predecessors)
+    pass_ = simplifycfg.SimplifyCFG()
+    for name in ("_merge_into_predecessor", "_skip_forwarding_blocks",
+                 "_speculate"):
+        sweep = getattr(pass_, name)
+
+        def counted_sweep(f, ctx, sweep=sweep, name=name):
+            sweeps.append([name, 0])
+            return sweep(f, ctx)
+
+        setattr(pass_, name, counted_sweep)
+
+    ctx = OptContext()
+    assert pass_.run_on_function(fn, module, ctx)
+    verify_module(module)
+    assert ctx.stats[rewrite] == 200
+    assert [row for row in sweeps if row[1] > 1] == []
+    assert predecessors_calls == []

@@ -1,5 +1,6 @@
 """Tests for SimplifyCFG, including the probe-as-barrier property."""
 
+import repro.opt.simplifycfg as simplifycfg
 from repro.ir.analysis import predecessor_map
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
@@ -230,6 +231,104 @@ spin:
         # Only tail merged (into exit); neither self-loop block merged.
         assert [b.name for b in fn.blocks] == ["entry", "loop", "exit", "spin"]
         self._assert_matches(fn)
+
+    @staticmethod
+    def _capture_maps(monkeypatch):
+        """Every map a sweep builds, in build order."""
+        built = []
+
+        def recording_map(fn):
+            built.append(predecessor_map(fn))
+            return built[-1]
+
+        monkeypatch.setattr(simplifycfg, "predecessor_map", recording_map)
+        return built
+
+    def test_speculation_keeps_its_one_map_exact(self, monkeypatch):
+        # The diamond in b1 makes b1 a predecessor of j1; a map that
+        # missed it would take j1 for b2's lone-predecessor arm and
+        # delete a block b1 still branches to.
+        m = parse_module(
+            """
+define i32 @f(i1 %c, i1 %d, i32 %x) {
+entry:
+  br i1 %c, label %b1, label %b2
+b1:
+  br i1 %d, label %t, label %e
+t:
+  %t1 = add i32 %x, 1
+  br label %j1
+e:
+  %e1 = add i32 %x, 2
+  br label %j1
+b2:
+  br i1 %d, label %j1, label %j2
+j1:
+  %y = add i32 %x, 3
+  br label %j2
+j2:
+  %r = phi i32 [ %y, %j1 ], [ 2, %b2 ]
+  br i1 %c, label %arm, label %out
+arm:
+  %z = add i32 %r, 4
+  br label %out
+out:
+  %s = phi i32 [ %z, %arm ], [ %r, %j2 ]
+  ret i32 %s
+}
+"""
+        )
+        fn = m.get("f")
+        built = self._capture_maps(monkeypatch)
+        ctx = OptContext()
+        assert SimplifyCFG()._speculate(fn, ctx)
+        verify_module(m)
+        assert ctx.stats["simplifycfg.speculated_diamond"] == 1
+        assert ctx.stats["simplifycfg.speculated_triangle"] == 1
+        assert [b.name for b in fn.blocks] == ["entry", "b1", "b2", "j1", "j2", "out"]
+        # One map, exact as sets: the sweep reads only entry lengths.
+        assert len(built) == 1
+        (kept,) = built
+        assert list(kept) == fn.blocks
+        for block in fn.blocks:
+            assert set(kept[block]) == set(block.predecessors())
+
+    def test_forwarding_keeps_its_one_map_exact_in_order(self, monkeypatch):
+        # f1 forwards into f2 first, so f2's predecessors become [a, b];
+        # forwarding f2 then adds j's phi incomings in that order.
+        m = parse_module(
+            """
+define i32 @f(i1 %c, i1 %d, i32 %x) {
+entry:
+  br i1 %c, label %a, label %b
+a:
+  %p = add i32 %x, 1
+  br i1 %d, label %f1, label %e
+b:
+  %q = add i32 %x, 2
+  br label %f2
+e:
+  %s = add i32 %x, 3
+  br label %j
+f1:
+  br label %f2
+f2:
+  br label %j
+j:
+  %r = phi i32 [ 5, %e ], [ 7, %f2 ]
+  ret i32 %r
+}
+"""
+        )
+        fn = m.get("f")
+        built = self._capture_maps(monkeypatch)
+        ctx = OptContext()
+        assert SimplifyCFG._skip_forwarding_blocks(fn, ctx)
+        verify_module(m)
+        assert ctx.stats["simplifycfg.forwarded"] == 2
+        assert "%r = phi i32 [ 5, %e ], [ 7, %a ], [ 7, %b ]" in print_module(m)
+        assert len(built) == 1
+        assert built[0] == predecessor_map(fn)
 
 
 class TestSpeculation:
