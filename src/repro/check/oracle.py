@@ -235,7 +235,6 @@ class _Session:
             self.service.build(program.name)
             self.service.start()
         self.executor = OdinCovExecutor(self.tool)
-        self.rebuilds_seen = len(self.engine.history)
 
     def close(self) -> None:
         if self.service is not None:
@@ -255,26 +254,22 @@ class _Session:
             )
         return [p.id for p in pick_step(self.engine.manager, step, rng)]
 
-    def apply(self, kind: str, ids: List[int]) -> None:
-        """Apply one step's ops by id and rebuild.  A prune removes the
-        ids, then clears the coverage runtime."""
+    def apply(self, kind: str, ids: List[int]) -> Optional[str]:
+        """Apply one step's ops by id and rebuild; returns the rebuild's
+        tier (None when nothing was pending).  A prune removes the ids,
+        then clears the coverage runtime."""
         ops = [ProbeOp(OP_REMOVE if kind == STEP_PRUNE else kind, pid)
                for pid in ids]
         if self.client is not None:
-            self.client.rebuild(ops)
+            report = self.client.rebuild(ops).report
         else:
             for op in ops:
                 op.apply(self.engine.manager)
-            self.engine.rebuild_if_needed()
+            report = self.engine.rebuild_if_needed()
         if kind == STEP_PRUNE:
             self.tool.runtime.clear()
         self.executor._refresh_vm()
-
-    def new_tiers(self) -> List[str]:
-        """Tier labels of rebuilds since the last call."""
-        fresh = self.engine.history[self.rebuilds_seen:]
-        self.rebuilds_seen = len(self.engine.history)
-        return [report.tier for report in fresh]
+        return None if report is None else report.tier
 
 
 class DifferentialOracle:
@@ -328,8 +323,8 @@ class DifferentialOracle:
                 # still vouches for it; skip the expensive diff.
                 if ids:
                     for session in sessions:
-                        session.apply(step.kind, ids)
-                        for tier in session.new_tiers():
+                        tier = session.apply(step.kind, ids)
+                        if tier is not None:
                             outcome.tiers_hit[tier] = (
                                 outcome.tiers_hit.get(tier, 0) + 1
                             )

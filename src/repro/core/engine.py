@@ -62,7 +62,7 @@ from repro.opt.pipeline import optimize
 from repro.utils.clock import SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.scheduler import Scheduler
+    from repro.core.scheduler import FragmentState, Scheduler
     from repro.linker.cache import LinkCache
 
 
@@ -436,19 +436,22 @@ class Odin:
         # Stage-1 patching state.  Sites-always-compiled: `_masters`
         # holds each fragment's object with *every* patchable probe site
         # compiled in; `cache` holds the toggle of that master matching
-        # the current enable/disable state; `_site_sets` records which
-        # patchable site ids the master carries (a mismatch with the live
-        # probe set forces a full recompile); `_master_keys` the master's
-        # content key; `_site_indexes` the master's `SiteIndex`, built on
-        # its first toggle that disables anything (kept here, not on the
-        # object, which the code caches pickle).
+        # the current enable/disable state; `_built` the `FragmentState`
+        # the linked objects were built for, which the scheduler's
+        # `classify` compares with the live probes (committed only once a
+        # rebuild has linked); `_master_keys` the master's content key;
+        # `_site_indexes` the master's `SiteIndex`, built on its first
+        # toggle that disables anything (kept here, not on the object,
+        # which the code caches pickle).
         self.enable_patching = enable_patching
         self._masters: Dict[int, ObjectFile] = {}
         self._site_indexes: Dict[int, SiteIndex] = {}
-        self._site_sets: Dict[int, frozenset] = {}
+        self._built: Dict[int, "FragmentState"] = {}
         self._master_keys: Dict[int, str] = {}
         self.executable: Optional[Executable] = None
         self.clock = SimClock()
+        # The latest rebuild reports, oldest first (at most the tracer's
+        # `max_roots`: each report holds its span tree).
         self.history: List[RebuildReport] = []
         # Observability: every rebuild records its span tree here.  A
         # service passes one shared tracer to all of its targets so
@@ -510,8 +513,7 @@ class Odin:
                 "tier": TIER_NOOP,
             },
         )
-        self.tracer.record(report.trace)
-        self.history.append(report)
+        self._record(report)
         self.manager.clear_dirty()
         return report
 
@@ -538,23 +540,22 @@ class Odin:
 
         # Tier "patch": flip sites in cached masters — no extract, no
         # optimize, no isel.  `entries` accumulates one
-        # [fragment, cost, tier, object] row per serviced fragment.
+        # [fragment, cost, tier, object] row per serviced fragment.  The
+        # toggles enter `cache` only once the compile batch succeeded, so
+        # a rebuild that raises leaves every fragment at its linked
+        # toggle, the state `classify` compares against.
         patch_real_start = time.perf_counter()
         entries: List[list] = []
+        toggles: Dict[int, ObjectFile] = {}
         for fragment in scheduler.patched_fragments:
-            master = self._masters[fragment.id]
-            disabled = scheduler.patch_disabled[fragment.id]
-            self.cache[fragment.id] = self._toggle(fragment.id, disabled)
-            master_key = self._master_keys.get(fragment.id)
-            if master_key is not None:
-                self._frag_keys[fragment.id] = self._toggled_key(
-                    master_key, disabled
-                )
+            toggles[fragment.id] = self._toggle(
+                fragment.id, scheduler.states[fragment.id].disabled
+            )
             cost = probe_patch_cost_ms(scheduler.patch_touched[fragment.id])
             report.fragment_families[fragment.id] = tuple(
-                sorted(scheduler.patch_families.get(fragment.id, ()))
+                sorted(scheduler.patch_families[fragment.id])
             )
-            entries.append([fragment, cost, TIER_PATCH, master])
+            entries.append([fragment, cost, TIER_PATCH, self._masters[fragment.id]])
         patch_real_ms = (time.perf_counter() - patch_real_start) * 1000.0
 
         # Split every changed fragment up front and probe the content
@@ -573,7 +574,7 @@ class Odin:
                 key = fragment_content_key(
                     text,
                     self.opt_level,
-                    self._probe_signature(scheduler, fragment),
+                    self._probe_signature(scheduler.applied_on[fragment.id]),
                     self.variant_label,
                 )
                 master = self.object_cache.get(key)
@@ -596,15 +597,21 @@ class Odin:
             self.sanitizer_diagnostics.extend(report.sanitizer_diagnostics)
         compile_real_ms = (time.perf_counter() - compile_real_start) * 1000.0
 
+        for fid, toggled in toggles.items():
+            self.cache[fid] = toggled
+            master_key = self._master_keys.get(fid)
+            if master_key is not None:
+                self._frag_keys[fid] = self._toggled_key(
+                    master_key, scheduler.states[fid].disabled
+                )
         miss_ids = {id(entry) for entry in misses}
         for entry in pending:
             fragment, _text, key, master = entry
-            disabled = scheduler.patchable_disabled(fragment)
+            disabled = scheduler.states[fragment.id].disabled
             if self._masters.get(fragment.id) is not master:
                 self._masters[fragment.id] = master
                 self._site_indexes.pop(fragment.id, None)
             self.cache[fragment.id] = self._toggle(fragment.id, disabled)
-            self._site_sets[fragment.id] = scheduler.patchable_sites(fragment)
             if key is not None:
                 self._master_keys[fragment.id] = key
                 self._frag_keys[fragment.id] = self._toggled_key(key, disabled)
@@ -626,9 +633,9 @@ class Odin:
             report.fragment_compile_ms[fragment.id] = cost
             report.fragment_tiers[fragment.id] = tier
             if fragment.id not in report.fragment_families:
-                report.fragment_families[fragment.id] = (
-                    self._fragment_families(scheduler, fragment)
-                )
+                report.fragment_families[fragment.id] = tuple(sorted({
+                    p.family for p in scheduler.applied_on[fragment.id] if p.family
+                }))
             if tier == TIER_PATCH:
                 report.patched += 1
             elif tier == TIER_MEMO:
@@ -662,6 +669,7 @@ class Odin:
         )
         self._link(report, patch_only=patch_only, rebuilt_any=bool(entries))
         link_real_ms = (time.perf_counter() - link_real_start) * 1000.0
+        self._built.update(scheduler.states)
 
         report.trace = self._build_rebuild_trace(
             scheduler, report, entries, sim0,
@@ -671,9 +679,17 @@ class Odin:
             link_real_ms=link_real_ms,
             rebuild_real_ms=(time.perf_counter() - rebuild_real_start) * 1000.0,
         )
+        self._record(report)
+        return report
+
+    def _record(self, report: RebuildReport) -> None:
+        """Record *report*'s span tree and keep it in ``history``, which,
+        like the tracer's roots, holds only the latest ``max_roots``."""
         self.tracer.record(report.trace)
         self.history.append(report)
-        return report
+        overflow = len(self.history) - self.tracer.max_roots
+        if overflow > 0:
+            del self.history[:overflow]
 
     def _toggle(self, fragment_id: int, disabled: frozenset) -> ObjectFile:
         """The fragment's master with the sites of *disabled* deleted."""
@@ -904,32 +920,18 @@ class Odin:
         if link_key is not None:
             self.link_cache.put(link_key, self.executable)
 
-    def _probe_signature(self, scheduler: "Scheduler", fragment: Fragment) -> str:
-        """Canonical description of the probe state compiled into *fragment*.
+    @staticmethod
+    def _probe_signature(applied) -> str:
+        """Canonical description of the probe state compiled into a fragment.
 
-        Signs the *applied* set — active probes plus disabled patchable
-        ones — because that is what the master object physically carries
-        (sites-always-compiled); the enable/disable state lives in the
-        toggle suffix of the link key, not here.
+        Signs the fragment's *applied* probes — active ones plus disabled
+        patchable ones — because that is what the master object
+        physically carries (sites-always-compiled); the enable/disable
+        state lives in the toggle suffix of the link key, not here.
         """
-        symbols = set(fragment.symbols)
-        parts = sorted(
-            f"{p.family or '-'}/{type(p).__name__}#{p.id}"
-            for p in scheduler.applied_probes
-            if p.target_symbol() in symbols
-        )
-        return ",".join(parts)
-
-    def _fragment_families(
-        self, scheduler: "Scheduler", fragment: Fragment
-    ) -> Tuple[str, ...]:
-        """Families of the probes applied into *fragment* this rebuild."""
-        symbols = set(fragment.symbols)
-        return tuple(sorted({
-            p.family
-            for p in scheduler.applied_probes
-            if p.family and p.target_symbol() in symbols
-        }))
+        return ",".join(sorted(
+            f"{p.family or '-'}/{type(p).__name__}#{p.id}" for p in applied
+        ))
 
     def _split_fragment(self, temp: Module, fragment: Fragment) -> str:
         """One fragment's (instrumented) canonical IR text, printed

@@ -4,15 +4,14 @@
     manager.remove(probe)                      # probes can be removed
     probe.payload = ...; manager.mark_changed(probe)  # and changed
 
-Every mutation records the probe as *dirty*; ``schedule()`` runs
+Every mutation marks the probe's symbol *dirty*; ``schedule()`` runs
 Algorithm 2 over the dirty set and returns a :class:`Scheduler` that the
 fuzzer's patch logic drives to rebuild the executable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, TypeVar
 
 from repro.core.probe import Probe
 from repro.errors import ScheduleError
@@ -23,59 +22,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 P = TypeVar("P", bound=Probe)
 
-# Dirty-record kinds: what happened to a probe since the last rebuild.
-REC_ADDED = "added"
-REC_REMOVED = "removed"
-REC_CHANGED = "changed"
-REC_TOGGLED = "toggled"
-# An add that was removed again (or a toggle that round-tripped) before
-# any rebuild: the probe state matches what is already compiled.
-REC_CANCELLED = "cancelled"
-
-
-@dataclass
-class DirtyRecord:
-    """One probe's pending mutation, classified for the tiered rebuild.
-
-    The scheduler uses these to decide per fragment whether the stage-1
-    patch path applies: a fragment whose dirt consists purely of
-    enable/disable flips of *patchable* probes (and cancelled no-ops) can
-    be serviced by toggling sites in the cached master object.
-    """
-
-    probe: Probe
-    symbol: str
-    kind: str
-    # Enabled state when the record was created — i.e. the state the
-    # currently cached objects were toggled to.  A TOGGLED record whose
-    # probe is back at its baseline is effectively cancelled.
-    baseline_enabled: bool = True
-
-    def effective_kind(self) -> str:
-        if self.kind == REC_TOGGLED and self.probe.enabled == self.baseline_enabled:
-            return REC_CANCELLED
-        return self.kind
-
 
 class PatchManager:
-    """Owns all probes and tracks which changed since the last rebuild."""
+    """Owns all probes and tracks which changed since the last rebuild.
+
+    It records only *where* dirt is: the scheduler decides each dirty
+    fragment by comparing its live probes with the state the fragment
+    was built for (:func:`repro.core.scheduler.classify`).
+    """
 
     def __init__(self, engine: "Odin"):
         self.engine = engine
         self._probes: Dict[int, Probe] = {}
         self._next_id = 0
-        # Dirty tracking: probe ids and (for removed probes) their symbols.
-        self._dirty_probe_ids: set = set()
+        # Live probes by target symbol: every per-fragment question
+        # reads this instead of scanning every probe.
+        self._by_symbol: Dict[str, Dict[int, Probe]] = {}
+        # Dirt since the last rebuild: every symbol a mutation touched,
+        # the symbols marked with no probe-level explanation (external
+        # dirt, always recompiled) and the probes whose logic changed.
         self._dirty_symbols: set = set()
-        # Classified dirt: probe id -> DirtyRecord.  Symbols marked dirty
-        # with no probe-level explanation (initial build, direct pokes)
-        # are *external* dirt and always take the full recompile path.
-        # External dirt is tracked explicitly: a symbol can carry both a
-        # probe record *and* external dirt (initial build over a symbol
-        # whose probe was added then removed), and inferring externality
-        # from record coverage would hide the external half.
-        self._dirty_records: Dict[int, DirtyRecord] = {}
         self._external_dirty: set = set()
+        self._changed_ids: set = set()
         # Tool registries (each ProbeSet's id -> probe dict) that a
         # removal must leave too, so no tool keeps a dead probe.
         self._bound: List[Dict[int, Probe]] = []
@@ -98,6 +66,14 @@ class PatchManager:
         """Drop every probe this manager removes from *registry* too."""
         self._bound.append(registry)
 
+    def probes_on(self, symbols: Iterable[str]) -> List[Probe]:
+        """Live probes targeting any of *symbols*."""
+        return [
+            probe
+            for symbol in symbols
+            for probe in self._by_symbol.get(symbol, {}).values()
+        ]
+
     # -- mutation ------------------------------------------------------------------
 
     def add(self, probe: P) -> P:
@@ -108,10 +84,9 @@ class PatchManager:
         probe.id = self._next_id
         self._next_id += 1
         self._probes[probe.id] = probe
-        self._mark(probe)
-        self._dirty_records[probe.id] = DirtyRecord(
-            probe, probe.target_symbol(), REC_ADDED, probe.enabled
-        )
+        symbol = probe.target_symbol()
+        self._by_symbol.setdefault(symbol, {})[probe.id] = probe
+        self._dirty_symbols.add(symbol)
         return probe
 
     def remove(self, probe: Probe) -> None:
@@ -121,63 +96,37 @@ class PatchManager:
             raise ScheduleError(f"probe {probe!r} is not registered")
         for registry in self._bound:
             registry.pop(probe.id, None)
-        self._mark(probe)
-        record = self._dirty_records.get(probe.id)
-        if record is not None and record.kind == REC_ADDED:
-            # Added and removed within one dirty cycle: a no-op for the
-            # compiled state, but the symbol stays dirty so schedulers
-            # that bypass classification behave as before.
-            record.kind = REC_CANCELLED
-        else:
-            self._dirty_records[probe.id] = DirtyRecord(
-                probe, probe.target_symbol(), REC_REMOVED, probe.enabled
-            )
+        symbol = probe.target_symbol()
+        del self._by_symbol[symbol][probe.id]
+        self._dirty_symbols.add(symbol)
+        self._changed_ids.discard(probe.id)
         probe.id = -1
 
     def mark_changed(self, probe: Probe) -> None:
         """Record that the probe's logic/state changed (§4: probes can be
-        queried and their logic changed)."""
-        if probe.id not in self._probes:
-            raise ScheduleError(f"probe {probe!r} is not registered")
-        self._mark(probe)
-        record = self._dirty_records.get(probe.id)
-        if record is None or record.kind != REC_ADDED:
-            # A changed probe's instrumentation may differ: full path.
-            self._dirty_records[probe.id] = DirtyRecord(
-                probe, probe.target_symbol(), REC_CHANGED, probe.enabled
-            )
+        queried and their logic changed); its fragment recompiles."""
+        self._check_registered(probe)
+        self._dirty_symbols.add(probe.target_symbol())
+        self._changed_ids.add(probe.id)
 
     def disable(self, probe: Probe) -> None:
         """Keep the probe object but stop instrumenting with it."""
-        # Like mark_changed: toggling a probe that was never added (or
-        # was removed, id == -1) would record dirt keyed at a bogus id
-        # and silently corrupt the dirty set.
-        if probe.id not in self._probes:
-            raise ScheduleError(f"probe {probe!r} is not registered")
-        if probe.enabled:
-            probe.enabled = False
-            self._note_toggle(probe, baseline=True)
+        self._set_enabled(probe, False)
 
     def enable(self, probe: Probe) -> None:
+        self._set_enabled(probe, True)
+
+    def _set_enabled(self, probe: Probe, enabled: bool) -> None:
+        self._check_registered(probe)
+        if probe.enabled != enabled:
+            probe.enabled = enabled
+            self._dirty_symbols.add(probe.target_symbol())
+
+    def _check_registered(self, probe: Probe) -> None:
+        # A probe that was never added (or was removed, id == -1) is in
+        # no build: refuse rather than dirty its symbol.
         if probe.id not in self._probes:
             raise ScheduleError(f"probe {probe!r} is not registered")
-        if not probe.enabled:
-            probe.enabled = True
-            self._note_toggle(probe, baseline=False)
-
-    def _note_toggle(self, probe: Probe, baseline: bool) -> None:
-        self._mark(probe)
-        # An existing added/changed/toggled record already captures the
-        # stronger mutation (records carry the live probe, so its current
-        # enabled state is always visible to the scheduler).
-        if probe.id not in self._dirty_records:
-            self._dirty_records[probe.id] = DirtyRecord(
-                probe, probe.target_symbol(), REC_TOGGLED, baseline
-            )
-
-    def _mark(self, probe: Probe) -> None:
-        self._dirty_probe_ids.add(probe.id)
-        self._dirty_symbols.add(probe.target_symbol())
 
     def mark_symbols_dirty(self, symbols) -> None:
         """Mark symbols dirty with no probe-level explanation.
@@ -198,34 +147,26 @@ class PatchManager:
     def dirty_symbols(self) -> set:
         return set(self._dirty_symbols)
 
-    def dirty_records(self) -> Dict[int, DirtyRecord]:
-        return dict(self._dirty_records)
-
     def external_dirty_symbols(self) -> set:
-        """Dirty symbols carrying dirt no probe-level record explains.
+        """Dirty symbols carrying dirt no probe explains."""
+        return set(self._external_dirty)
 
-        The explicit set (``mark_symbols_dirty``) is the authority; the
-        record-coverage inference is kept as a backstop for dirty symbols
-        that somehow gained neither a record nor an external mark.
-        """
-        covered = {rec.symbol for rec in self._dirty_records.values()}
-        inferred = {s for s in self._dirty_symbols if s not in covered}
-        return (self._external_dirty & self._dirty_symbols) | inferred
+    def changed_probe_ids(self) -> set:
+        """Ids of the probes marked changed since the last rebuild."""
+        return set(self._changed_ids)
 
     def has_effective_changes(self) -> bool:
         """Whether the pending dirt actually differs from the built state.
 
-        False when every record cancelled out (probe added then removed,
-        or toggled back to its baseline) and no external dirt exists —
-        the compiled objects already reflect the current probe state, so
-        ``rebuild_if_needed`` can answer with a zero-cost no-op.
+        False when every dirty fragment would be skipped: its probes are
+        back in the state its objects were built for (probe added then
+        removed, or toggled back) and it carries no external dirt, so
+        ``rebuild_if_needed`` can answer with a zero-cost no-op.  Stops
+        at the first fragment that needs a patch or a recompile.
         """
-        if self.external_dirty_symbols():
-            return True
-        return any(
-            rec.effective_kind() != REC_CANCELLED
-            for rec in self._dirty_records.values()
-        )
+        from repro.core.scheduler import classify
+
+        return any(flips != frozenset() for _f, _s, flips in classify(self.engine))
 
     def schedule(self) -> "Scheduler":
         """Run Algorithm 2 and return the scheduler for this rebuild."""
@@ -234,7 +175,6 @@ class PatchManager:
         return Scheduler(self.engine)
 
     def clear_dirty(self) -> None:
-        self._dirty_probe_ids.clear()
         self._dirty_symbols.clear()
-        self._dirty_records.clear()
         self._external_dirty.clear()
+        self._changed_ids.clear()

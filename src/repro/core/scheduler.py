@@ -16,24 +16,25 @@ after the user's patch logic instruments it (``apply_probes`` or manual
 iteration over ``active_probes`` with ``map()``), ``rebuild()`` splits it
 back into per-fragment modules, optimizes, lowers, and relinks.
 
-**Stage-1 classification (the tiered fast path).**  Before stage 2, each
-dirty fragment's probe-level dirt records are examined: when the engine
-has patching enabled and every record on the fragment is either a
-cancelled no-op or an enable/disable flip of a *patchable* probe — and
-the engine holds a master object whose compiled-in site set still matches
-— the fragment is diverted to ``patched_fragments`` and excluded from
-extraction/recompilation entirely.  The engine services those by deleting
-or restoring probe sites in the cached master (`repro.backend.patching`).
-Fragments whose dirt cancelled out completely are skipped outright.
-External dirt (symbols marked without a probe record) always forces the
-full path.
+**Stage-1 classification (the tiered fast path).**  Before stage 2,
+:func:`classify` compares each dirty fragment's live probes with the
+state its linked objects were built for.  A fragment recompiles when it
+was never built, carries external dirt (symbols marked without a probe,
+as the initial build does) or a probe marked changed, or when its
+compiled-in probe set differs (a probe added or removed, a
+non-patchable probe flipped).  Otherwise only patchable sites changed
+state: with patching enabled the fragment is diverted to
+``patched_fragments`` and serviced by deleting or restoring probe sites
+in the cached master (`repro.backend.patching`), and a fragment whose
+sites all match its current toggle is skipped outright.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.core.partition import Fragment
 from repro.core.probe import Probe
@@ -48,6 +49,54 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Odin, RebuildReport
 
 
+class FragmentState(NamedTuple):
+    """The probe state one fragment's objects are built for."""
+
+    #: Probe id -> whether its site is compiled in (enabled, or patchable).
+    compiled: Dict[int, bool]
+    #: Patchable sites the current toggle deletes (disabled probes).
+    disabled: frozenset
+
+    @classmethod
+    def of(cls, probes: List[Probe]) -> "FragmentState":
+        return cls(
+            {p.id: p.enabled or p.patchable for p in probes},
+            frozenset([p.id for p in probes if p.patchable and not p.enabled]),
+        )
+
+
+def classify(
+    engine: "Odin",
+) -> Iterator[Tuple[Fragment, FragmentState, Optional[frozenset]]]:
+    """Decide each dirty fragment against the state it was built for.
+
+    Yields ``(fragment, live state, flips)`` in fragment order.  *flips*
+    is None when the fragment must recompile: it has no built state, or
+    it carries external dirt or a probe marked changed, or its
+    compiled-in probe set differs from the built one.  Otherwise it is
+    the set of patchable sites whose state differs from the current
+    toggle: the patch, or a skip when empty.
+    """
+    manager = engine.manager
+    fragdef = engine.fragdef
+    external = manager.external_dirty_symbols()
+    changed = manager.changed_probe_ids()
+    owner = fragdef.owner
+    for fid in sorted({owner[s] for s in manager.dirty_symbols() if s in owner}):
+        fragment = fragdef.fragments[fid]
+        live = FragmentState.of(manager.probes_on(fragment.symbols))
+        built = engine._built.get(fid)
+        if (
+            built is None
+            or not external.isdisjoint(fragment.symbols)
+            or not changed.isdisjoint(live.compiled)
+            or live.compiled != built.compiled
+        ):
+            yield fragment, live, None
+        else:
+            yield fragment, live, live.disabled ^ built.disabled
+
+
 class Scheduler:
     """One scheduled recompilation: temporary IR + the probes to apply."""
 
@@ -60,45 +109,60 @@ class Scheduler:
         # Stage 1: probes -> symbols.
         changed_symbols: Set[str] = manager.dirty_symbols()
 
-        # Stage-1 fast-path classification: divert pure patchable-toggle
-        # fragments to the patch tier and drop their symbols from the
-        # recompile set.  `patch_disabled` holds the full disabled site
-        # set the master must be toggled to; `patch_touched` the number of
-        # sites this rebuild actually flips (the cost driver).
+        # Stage-1 classification: patched and skipped fragments leave the
+        # recompile set.  `states` holds the probe state each patched or
+        # recompiled fragment is rebuilt for (its toggle's disabled set
+        # included); `patch_touched` the number of sites a patch flips
+        # (the cost driver); `patch_families` the families of those
+        # probes, to which rebuild reports attribute the patch.
+        self.states: Dict[int, FragmentState] = {}
         self.patched_fragments: List[Fragment] = []
-        self.patch_disabled: Dict[int, frozenset] = {}
         self.patch_touched: Dict[int, int] = {}
-        # Probe families whose toggles drove each patched fragment —
-        # rebuild reports attribute patch-tier work to its scheme.
         self.patch_families: Dict[int, frozenset] = {}
-        self.skipped_fragments: List[Fragment] = []
-        if changed_symbols:
-            self._classify_fast_path(changed_symbols)
+        if engine.enable_patching:
+            for fragment, live, flips in classify(engine):
+                if flips is None:
+                    continue
+                changed_symbols.difference_update(fragment.symbols)
+                if flips:
+                    self.patched_fragments.append(fragment)
+                    self.states[fragment.id] = live
+                    self.patch_touched[fragment.id] = len(flips)
+                    families = {manager.get_probe(i).family for i in flips}
+                    self.patch_families[fragment.id] = frozenset(
+                        family for family in families if family
+                    )
 
         # Stage 2: symbols -> fragments.
-        self.changed_fragments: List[Fragment] = []
-        for fragment in fragdef.fragments:
-            if any(s in changed_symbols for s in fragment.symbols):
-                self.changed_fragments.append(fragment)
-                changed_symbols.update(fragment.symbols)
+        owner = fragdef.owner
+        self.changed_fragments: List[Fragment] = [
+            fragdef.fragments[fid]
+            for fid in sorted({owner[s] for s in changed_symbols if s in owner})
+        ]
+        for fragment in self.changed_fragments:
+            changed_symbols.update(fragment.symbols)
         self.changed_symbols = changed_symbols
 
-        # Stage 3: fragments -> probes (back propagation).
+        # Stage 3: fragments -> probes (back propagation).  What gets
+        # instrumented into the temporary IR: active probes plus
+        # *disabled patchable* ones.  Sites-always-compiled — every tier
+        # realizes enable/disable by toggling sites in the compiled
+        # master, so the master must carry every patchable site
+        # regardless of its current state.  `applied_on` holds them per
+        # fragment, for its content key and its report families.
+        self.applied_on: Dict[int, List[Probe]] = {}
+        for fragment in self.changed_fragments:
+            probes = manager.probes_on(fragment.symbols)
+            self.states[fragment.id] = FragmentState.of(probes)
+            self.applied_on[fragment.id] = [
+                p for p in probes if p.enabled or p.patchable
+            ]
+        self.applied_probes: List[Probe] = sorted(
+            (p for applied in self.applied_on.values() for p in applied),
+            key=lambda p: p.id,
+        )
         self.active_probes: List[Probe] = [
-            p
-            for p in manager
-            if p.enabled and p.target_symbol() in changed_symbols
-        ]
-        # What actually gets instrumented into the temporary IR: active
-        # probes plus *disabled patchable* ones.  Sites-always-compiled —
-        # every tier realizes enable/disable by toggling sites in the
-        # compiled master, so the master must carry every patchable site
-        # regardless of its current state.
-        self.applied_probes: List[Probe] = [
-            p
-            for p in manager
-            if p.target_symbol() in changed_symbols
-            and (p.enabled or p.patchable)
+            p for p in self.applied_probes if p.enabled
         ]
 
         # Observability: real durations of schedule / extract / instrument,
@@ -119,96 +183,6 @@ class Scheduler:
             self._temp, self._vmap = Module(f"{engine.module.name}.patch"), None
         self.extract_real_ms = (time.perf_counter() - extract_start) * 1000.0
         self._rebuilt = False
-
-    # -- stage-1 classification (tiered fast path) -----------------------------------
-
-    def _classify_fast_path(self, changed_symbols: Set[str]) -> None:
-        """Divert patch-eligible fragments; mutates *changed_symbols*."""
-        from repro.core.manager import REC_CANCELLED, REC_TOGGLED
-
-        manager = self.manager
-        engine = self.engine
-        if not engine.enable_patching:
-            return
-        external = manager.external_dirty_symbols()
-        records_by_symbol: Dict[str, List] = {}
-        for record in manager.dirty_records().values():
-            records_by_symbol.setdefault(record.symbol, []).append(record)
-
-        for fragment in engine.fragdef.fragments:
-            symbols = set(fragment.symbols)
-            frag_dirty = [s for s in symbols if s in changed_symbols]
-            if not frag_dirty:
-                continue
-            touched = 0
-            families: set = set()
-            blocked = False
-            for symbol in frag_dirty:
-                if symbol in external:
-                    blocked = True
-                    break
-                for record in records_by_symbol.get(symbol, ()):
-                    kind = record.effective_kind()
-                    if kind == REC_CANCELLED:
-                        continue
-                    if kind == REC_TOGGLED and record.probe.patchable:
-                        touched += 1
-                        if record.probe.family:
-                            families.add(record.probe.family)
-                    else:
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            if blocked:
-                continue
-            if touched == 0:
-                # Every record on the fragment cancelled out: the cached
-                # object already reflects the probe state.  Nothing to do
-                # — but only if a cached object exists to vouch for it; a
-                # never-compiled fragment must take the full path.
-                if fragment.id not in engine.cache:
-                    continue
-                changed_symbols.difference_update(frag_dirty)
-                self.skipped_fragments.append(fragment)
-                continue
-            # Patch eligibility needs a master whose compiled-in site set
-            # still matches the live patchable probes (a prior remove/add
-            # would have changed the set and forced a full recompile).
-            sites = frozenset(
-                p.id
-                for p in manager
-                if p.patchable and p.target_symbol() in symbols
-            )
-            if sites != engine._site_sets.get(fragment.id):
-                continue
-            changed_symbols.difference_update(frag_dirty)
-            self.patched_fragments.append(fragment)
-            self.patch_disabled[fragment.id] = frozenset(
-                p.id
-                for p in manager
-                if p.patchable and not p.enabled and p.target_symbol() in symbols
-            )
-            self.patch_touched[fragment.id] = touched
-            self.patch_families[fragment.id] = frozenset(families)
-
-    def patchable_sites(self, fragment: Fragment) -> frozenset:
-        """Ids of all patchable probes targeting *fragment* (any state)."""
-        symbols = set(fragment.symbols)
-        return frozenset(
-            p.id
-            for p in self.manager
-            if p.patchable and p.target_symbol() in symbols
-        )
-
-    def patchable_disabled(self, fragment: Fragment) -> frozenset:
-        """Ids of currently *disabled* patchable probes on *fragment*."""
-        symbols = set(fragment.symbols)
-        return frozenset(
-            p.id
-            for p in self.manager
-            if p.patchable and not p.enabled and p.target_symbol() in symbols
-        )
 
     # -- the user-facing mapping API (§4) ------------------------------------------
 

@@ -135,6 +135,46 @@ def dominates(
     return False
 
 
+class DominatorTree:
+    """Immediate dominators plus a depth-first pre/post numbering of
+    their tree, so each :meth:`dominates` query is O(1) instead of a walk
+    up the idom chain (quadratic over a deep CFG's many queries)."""
+
+    def __init__(self, fn: Function):
+        self.idom = compute_dominators(fn)
+        children: Dict[BasicBlock, List[BasicBlock]] = {}
+        for block, parent in self.idom.items():
+            if parent is not None:
+                children.setdefault(parent, []).append(block)
+        # block -> (preorder number, postorder number); a dominates b iff
+        # a's interval encloses b's.  An explicit stack, like the walks.
+        self._span: Dict[BasicBlock, Tuple[int, int]] = {}
+        pre = {fn.entry: 0}
+        clock = 1
+        stack = [(fn.entry, iter(children.get(fn.entry, ())))]
+        while stack:
+            block, pending = stack[-1]
+            child = next(pending, None)
+            if child is None:
+                stack.pop()
+                self._span[block] = (pre[block], clock)
+            else:
+                pre[child] = clock
+                stack.append((child, iter(children.get(child, ()))))
+            clock += 1
+
+    def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
+        """Whether *a* dominates *b*; an unreachable block dominates
+        only itself, as under :func:`dominates`."""
+        if a is b:
+            return True
+        span_a = self._span.get(a)
+        span_b = self._span.get(b)
+        if span_a is None or span_b is None:
+            return False
+        return span_a[0] < span_b[0] and span_b[1] < span_a[1]
+
+
 class NaturalLoop:
     """A natural loop: header plus the body blocks of one back edge."""
 
@@ -149,13 +189,13 @@ class NaturalLoop:
 
 def find_loops(fn: Function) -> List[NaturalLoop]:
     """Find natural loops from back edges (latch -> header with header dom latch)."""
-    idom = compute_dominators(fn)
+    dom = DominatorTree(fn)
     preds = predecessor_map(fn)
     reachable = set(reachable_blocks(fn))
     loops: List[NaturalLoop] = []
     for block in reachable_blocks(fn):
         for succ in block.successors():
-            if succ in idom and dominates(idom, succ, block):
+            if succ in dom.idom and dom.dominates(succ, block):
                 body: Set[BasicBlock] = {succ, block}
                 stack = [block]
                 while stack:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.errors import VerifierError
-from repro.ir.analysis import compute_dominators
+from repro.ir.analysis import DominatorTree
 from repro.ir.instructions import CallInst, Instruction, PhiInst
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import Argument, Constant, GlobalValue, Value
@@ -200,15 +200,8 @@ def _verify_uses(fn: Function, module: Module, defined: Dict[int, BasicBlock]) -
 
 
 def _verify_dominance(fn: Function, defined: Dict[int, BasicBlock]) -> None:
-    idom = compute_dominators(fn)
-
-    def dominates(a: BasicBlock, b: BasicBlock) -> bool:
-        while b is not None:
-            if b is a:
-                return True
-            b = idom.get(b)
-        return False
-
+    dom = DominatorTree(fn)
+    idom = dom.idom
     for block in fn.blocks:
         if block not in idom and block is not fn.entry:
             continue  # unreachable block: dominance is vacuous
@@ -220,7 +213,7 @@ def _verify_dominance(fn: Function, defined: Dict[int, BasicBlock]) -> None:
                         def_block = defined.get(id(value))
                         if def_block is None or pred not in idom and pred is not fn.entry:
                             continue
-                        if not dominates(def_block, pred):
+                        if not dom.dominates(def_block, pred):
                             raise VerifierError(
                                 f"@{fn.name}:{block.name}: phi %{inst.name} incoming "
                                 f"%{value.name} does not dominate edge from {pred.name}"
@@ -236,7 +229,7 @@ def _verify_dominance(fn: Function, defined: Dict[int, BasicBlock]) -> None:
                             f"@{fn.name}:{block.name}: %{inst.name} uses %{op.name} "
                             f"before its definition"
                         )
-                elif not dominates(def_block, block):
+                elif not dom.dominates(def_block, block):
                     raise VerifierError(
                         f"@{fn.name}:{block.name}: %{inst.name} uses %{op.name}, "
                         f"whose definition in {def_block.name} does not dominate"

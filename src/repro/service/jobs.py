@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -355,16 +354,19 @@ class JobQueue:
 def merge_batch(jobs: List[Job]) -> Tuple[List[ProbeOp], int, int]:
     """Merge a batch's ops, dropping duplicates.
 
-    Returns ``(unique ops in first-submission order, submitted, applied)``.
-    Order is preserved so a client's enable-then-disable sequence keeps
-    its meaning; only *identical* (kind, probe_id) pairs collapse.
+    Returns ``(unique ops, submitted, applied)``, each op kept at its
+    *last* occurrence, in last-occurrence order.  Ops on different
+    probes commute and enable/disable set state, so the merged ops leave
+    every probe as the submitted sequence does: disable / enable /
+    disable of one probe ends disabled.
     """
-    merged: "OrderedDict[ProbeOp, None]" = OrderedDict()
+    merged: Dict[ProbeOp, None] = {}
     submitted = 0
     for job in jobs:
         for op in job.request.ops:
             submitted += 1
-            merged.setdefault(op)
+            merged.pop(op, None)
+            merged[op] = None
     unique = list(merged)
     return unique, submitted, len(unique)
 

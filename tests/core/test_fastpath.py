@@ -20,11 +20,13 @@ from repro.core.engine import (
     TIER_FULL,
     TIER_NOOP,
     TIER_PATCH,
+    InlineFragmentCompiler,
     Odin,
 )
-from repro.core.manager import REC_CANCELLED, REC_REMOVED, REC_TOGGLED
 from repro.frontend.codegen import compile_source
+from repro.fuzz.executor import PRESERVED
 from repro.instrument.coverage import OdinCov
+from repro.programs.registry import get_program
 from repro.service.cache import InMemoryCodeCache
 from repro.vm.interpreter import VM
 
@@ -129,9 +131,11 @@ class TestPatchByteIdentity:
         engine, _ = build_engine()
         # The engine keeps the site-complete masters privately; pick a
         # fragment that actually carries patchable sites.
-        fid = next(f for f in sorted(engine._site_sets) if engine._site_sets[f])
-        master = engine._masters[fid]
-        sites = engine._site_sets[fid]
+        master = next(
+            engine._masters[f] for f in sorted(engine._masters)
+            if probe_site_ids(engine._masters[f])
+        )
+        sites = probe_site_ids(master)
         victim = sorted(sites)[0]
         toggled = toggle_object(master, frozenset({victim}))
         assert probe_site_ids(toggled) == sites - {victim}
@@ -166,22 +170,28 @@ class TestNoopRebuild:
 
     def test_noop_records_classified_cancelled(self):
         engine, _ = build_engine()
-        victim = sorted(probes_by_id(engine))[0]
-        engine.manager.disable(probes_by_id(engine)[victim])
-        record = engine.manager.dirty_records()[victim]
-        assert record.kind == REC_TOGGLED
-        engine.manager.enable(probes_by_id(engine)[victim])
-        assert record.effective_kind() == REC_CANCELLED
+        probe = probes_by_id(engine)[sorted(probes_by_id(engine))[0]]
+        engine.manager.disable(probe)
+        assert engine.manager.has_effective_changes()
+        engine.manager.enable(probe)
+        assert engine.manager.has_pending_changes
+        assert not engine.manager.has_effective_changes()
+        assert engine.rebuild_if_needed().tier == TIER_NOOP
 
     def test_remove_is_never_a_noop(self):
         engine, _ = build_engine()
-        victim = sorted(probes_by_id(engine))[0]
+        victim, disabled = sorted(probes_by_id(engine))[:2]
         engine.manager.remove(probes_by_id(engine)[victim])
-        record = engine.manager.dirty_records()[victim]
-        assert record.effective_kind() == REC_REMOVED
         assert engine.manager.has_effective_changes()
         report = engine.rebuild_if_needed()
         assert report.tier == TIER_FULL
+        # Nor is removing a disabled probe, whose site the current
+        # toggle already deletes: the master must lose the site.
+        engine.manager.disable(probes_by_id(engine)[disabled])
+        assert engine.rebuild_if_needed().tier == TIER_PATCH
+        engine.manager.remove(probes_by_id(engine)[disabled])
+        assert engine.manager.has_effective_changes()
+        assert engine.rebuild_if_needed().tier == TIER_FULL
 
     def test_initial_build_survives_cancelled_records(self):
         """Regression: probes added then removed before the first build.
@@ -237,6 +247,61 @@ class TestNoopRebuild:
         assert engine.manager.external_dirty_symbols() == set()
 
 
+class FailingCompiler(InlineFragmentCompiler):
+    """Raises on its next batch while armed."""
+
+    armed = False
+
+    def compile_batch(self, fragments, opt_level):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("injected compile failure")
+        return super().compile_batch(fragments, opt_level)
+
+
+class TestFailedRebuild:
+    def test_failed_mixed_rebuild_keeps_the_linked_toggle(self):
+        """A rebuild that patches one fragment and then fails compiling
+        another leaves the patched fragment at its linked toggle: once
+        the flip is undone, the retried rebuild skips that fragment and
+        the image still matches a scratch build."""
+
+        def harfbuzz(compiler=None):
+            engine = Odin(
+                get_program("harfbuzz").compile(), preserve=PRESERVED,
+                compiler=compiler,
+            )
+            tool = OdinCov(engine)
+            tool.add_all_block_probes()
+            return engine, tool
+
+        compiler = FailingCompiler()
+        engine, tool = harfbuzz(compiler)
+        tool.build()
+        owner = engine.fragdef.owner
+        probes = sorted(engine.manager, key=lambda p: p.id)
+        flip = probes[0]
+        victim = next(
+            p.id for p in probes
+            if owner[p.target_symbol()] != owner[flip.target_symbol()]
+        )
+        victim_fragment = owner[tool.probes[victim].target_symbol()]
+        engine.manager.disable(flip)
+        tool.probes.discard(victim)
+        compiler.armed = True
+        with pytest.raises(RuntimeError):
+            engine.rebuild_if_needed()
+        engine.manager.enable(flip)
+        report = engine.rebuild_if_needed()
+        assert report.fragment_tiers == {victim_fragment: TIER_FULL}
+
+        scratch, scratch_tool = harfbuzz()
+        scratch_tool.probes.discard(victim)
+        scratch_tool.build()
+        assert engine.object_fingerprints() == scratch.object_fingerprints()
+        assert engine.executable_fingerprint() == scratch.executable_fingerprint()
+
+
 class TestTieredCompileWall:
     def test_patch_tier_costs_are_tiny_but_nonzero(self):
         engine, _ = build_engine()
@@ -274,3 +339,22 @@ class TestTieredCompileWall:
         assert (
             second.executable_fingerprint() == first.executable_fingerprint()
         )
+
+
+class TestHistory:
+    def test_history_keeps_the_tracers_bound(self):
+        """Each report holds its span tree; an engine that persists
+        across a campaign keeps only the latest ``max_roots`` of them."""
+        engine, _ = build_engine()
+        probe = probes_by_id(engine)[sorted(probes_by_id(engine))[0]]
+        bound = engine.tracer.max_roots
+        assert bound < 300
+        for _ in range(300):
+            if probe.enabled:
+                engine.manager.disable(probe)
+            else:
+                engine.manager.enable(probe)
+            report = engine.rebuild_if_needed()
+            assert report.tier == TIER_PATCH
+        assert len(engine.history) == bound
+        assert engine.history[-1] is report

@@ -3,7 +3,7 @@
 Each case builds one registry program with coverage probes plus one
 more family (ASan, UBSan, CmpLog or profiling), then replays a seeded
 sequence of probe-state ops: enable, disable, toggle round trips,
-removes, new ``CovProbe``s, add-then-remove, ``mark_changed`` and
+removes (of disabled probes too), new ``CovProbe``s, add-then-remove, ``mark_changed`` and
 ``mark_symbols_dirty``, a few of them before the initial build.  After
 each step it calls ``rebuild_if_needed`` and records what the engine
 decided: ``has_pending_changes`` and ``has_effective_changes()``, the
@@ -128,7 +128,8 @@ def _engine(case: Case) -> Odin:
 
 OPS = (
     ("disable", 4), ("enable", 3), ("roundtrip", 2), ("remove", 1),
-    ("add", 1), ("add_remove", 1), ("changed", 1), ("external", 1),
+    ("remove_disabled", 1), ("add", 1), ("add_remove", 1), ("changed", 1),
+    ("external", 1),
 )
 
 
@@ -144,7 +145,9 @@ def _apply_op(rng: random.Random, engine: Odin, op: str) -> str:
     probes = sorted(manager, key=lambda p: p.id)
     if op == "disable":
         pool = [p for p in probes if p.enabled]
-    elif op == "enable":
+    elif op in ("enable", "remove_disabled"):
+        # Removing a disabled probe drops a site the current toggle
+        # already deletes, or one never compiled in (non-patchable).
         pool = [p for p in probes if not p.enabled]
     else:
         pool = probes
@@ -174,7 +177,7 @@ def _apply_op(rng: random.Random, engine: Odin, op: str) -> str:
         else:
             manager.enable(probe)
             manager.disable(probe)
-    elif op == "remove":
+    elif op in ("remove", "remove_disabled"):
         manager.remove(probe)
     elif op == "changed":
         manager.mark_changed(probe)
@@ -286,15 +289,13 @@ def run_case(case: Case) -> List[dict]:
     return rows
 
 
+def _digest(row: dict) -> str:
+    return hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
+
+
 def pins_of(case: Case) -> dict:
     rows = run_case(case)
-    return {
-        "tiers": [_tier(row) for row in rows],
-        "digests": [
-            hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
-            for row in rows
-        ],
-    }
+    return {"tiers": [_tier(row) for row in rows], "digests": list(map(_digest, rows))}
 
 
 def _load_pins() -> Dict[str, dict]:
@@ -309,8 +310,7 @@ def test_rebuild_decisions_are_pinned(name):
     for index, (row, want_tier, want_digest) in enumerate(
         zip(rows, expected["tiers"], expected["digests"])
     ):
-        digest = hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
-        assert (_tier(row), digest) == (want_tier, want_digest), (
+        assert (_tier(row), _digest(row)) == (want_tier, want_digest), (
             f"{name} rebuild {index} (pinned tier {want_tier}) moved: {row}"
         )
     assert len(rows) == len(expected["tiers"]), f"{name} rebuild count"

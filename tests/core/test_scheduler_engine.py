@@ -169,7 +169,7 @@ class TestAlgorithm2:
 
     def test_scheduler_map_translates_blocks(self):
         engine = make_engine()
-        engine.manager._dirty_symbols.add("alpha")
+        engine.manager.mark_symbols_dirty(["alpha"])
         sched = engine.manager.schedule()
         alpha = engine.module.get("alpha")
         mapped = sched.map_block(alpha.entry)
@@ -178,7 +178,7 @@ class TestAlgorithm2:
 
     def test_double_rebuild_rejected(self):
         engine = make_engine()
-        engine.manager._dirty_symbols.update(engine.fragdef.owner.keys())
+        engine.manager.mark_symbols_dirty(engine.fragdef.owner.keys())
         sched = engine.manager.schedule()
         sched.rebuild()
         with pytest.raises(ScheduleError):

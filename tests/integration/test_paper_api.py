@@ -124,7 +124,7 @@ class TestPaperSection4API:
         engine = Odin(module, preserve=("main", "run_input"))
         cmps = comparisons_of(module, "check")
         probes = [engine.manager.add(CmpProbe(c)) for c in cmps]
-        engine.manager._dirty_symbols.update(engine.fragdef.owner.keys())
+        engine.manager.mark_symbols_dirty(engine.fragdef.owner.keys())
 
         sched = engine.manager.schedule()
         assert set(probes) <= set(sched.active_probes)

@@ -1,6 +1,9 @@
 """Tests for CFG analyses: RPO, dominators, loops, call graph, SCCs."""
 
+import pytest
+
 from repro.ir.analysis import (
+    DominatorTree,
     bottom_up_sccs,
     call_graph,
     compute_dominators,
@@ -12,6 +15,8 @@ from repro.ir.analysis import (
     reachable_blocks,
 )
 from repro.ir.parser import parse_module
+from repro.opt.pipeline import optimize
+from repro.programs.registry import get_program, program_names
 
 DIAMOND = """
 define i32 @f(i1 %c) {
@@ -82,6 +87,46 @@ class TestDominators:
         assert dominates(idom, by_name["header"], by_name["latch"])
         assert dominates(idom, by_name["header"], by_name["header"])
         assert not dominates(idom, by_name["latch"], by_name["header"])
+
+
+class TestDominatorTree:
+    def test_numbering_answers_like_the_idom_walk(self):
+        fn = parse_module(LOOP).get("f")
+        tree = DominatorTree(fn)
+        assert tree.idom == compute_dominators(fn)
+        for a in fn.blocks:
+            for b in fn.blocks:
+                assert tree.dominates(a, b) == dominates(tree.idom, a, b)
+        by_name = {b.name: b for b in fn.blocks}
+        assert tree.dominates(by_name["header"], by_name["latch"])
+        assert not tree.dominates(by_name["latch"], by_name["header"])
+
+    def test_unreachable_block_dominates_only_itself(self):
+        fn = parse_module(
+            "define void @f() {\nentry:\n  ret void\ndead:\n  ret void\n}"
+        ).get("f")
+        tree = DominatorTree(fn)
+        entry, dead = fn.blocks
+        assert tree.dominates(dead, dead)
+        assert not tree.dominates(entry, dead)
+        assert not tree.dominates(dead, entry)
+
+    @pytest.mark.parametrize("program", program_names())
+    def test_numbering_agrees_with_the_walk_on_every_program(self, program):
+        """Every pair of reachable blocks of every function at -O2."""
+        module = get_program(program).compile()
+        optimize(module, 2)
+        pairs = 0
+        for fn in module.defined_functions():
+            tree = DominatorTree(fn)
+            blocks = reachable_blocks(fn)
+            for a in blocks:
+                for b in blocks:
+                    assert tree.dominates(a, b) == dominates(tree.idom, a, b), (
+                        f"@{fn.name}: {a.name} vs {b.name}"
+                    )
+                    pairs += 1
+        assert pairs > 0
 
 
 class TestLoops:

@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+import repro.ir.analysis as analysis
+import repro.ir.verifier as verifier
 import repro.opt.simplifycfg as simplifycfg
 from repro.core.engine import Odin
 from repro.frontend.codegen import compile_source
@@ -136,3 +138,33 @@ def test_simplifycfg_builds_at_most_one_predecessor_map_per_sweep(
     assert ctx.stats[rewrite] == 200
     assert [row for row in sweeps if row[1] > 1] == []
     assert predecessors_calls == []
+
+
+class _CountingIdom(dict):
+    """An idom map that counts the lookups an idom-chain walk makes."""
+
+    lookups = 0
+
+    def get(self, *args):
+        _CountingIdom.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        _CountingIdom.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_verifying_a_deep_chain_walks_no_idom_chain(monkeypatch):
+    """Every block of ``if_chain(1000)`` uses the entry's allocas, so a
+    verifier that walked the idom chain per use was quadratic; the
+    dominator tree's numbering answers each use without a walk."""
+    module = compile_source(if_chain(1000), "deep")
+    real = analysis.compute_dominators
+    counting = lambda fn: _CountingIdom(real(fn))  # noqa: E731
+    monkeypatch.setattr(analysis, "compute_dominators", counting)
+    # A verifier that imported the function by name would call this one.
+    monkeypatch.setattr(verifier, "compute_dominators", counting, raising=False)
+    monkeypatch.setattr(_CountingIdom, "lookups", 0)
+    verify_module(module)
+    assert len(module.get("main").blocks) > 2000
+    assert _CountingIdom.lookups == 0

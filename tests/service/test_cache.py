@@ -26,7 +26,7 @@ def make_object(name: str, payload: bytes = b"") -> ObjectFile:
 def split_probed_fragment(engine: Odin):
     """Schedule a full build and split one fragment that carries probes
     (falls back to fragment #0 for engines without probes)."""
-    engine.manager._dirty_symbols.update(engine.fragdef.owner.keys())
+    engine.manager.mark_symbols_dirty(engine.fragdef.owner.keys())
     sched = engine.manager.schedule()
     sched.apply_probes()
     probed_symbols = {p.target_symbol() for p in engine.manager}

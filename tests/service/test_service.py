@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.core.engine import Odin, compile_makespan
+from repro.core.engine import TIER_PATCH, Odin, compile_makespan
 from repro.frontend.codegen import compile_source
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import get_program
@@ -166,6 +166,20 @@ class TestBatchingAndDedup:
         }
         assert sorted(reply.report.fragment_ids) == sorted(target_fragments)
 
+    def test_batch_keeps_the_last_word_on_each_probe(self):
+        """Three clients send disable / enable / disable of one probe and
+        one batch serves them: the probe ends disabled, as the submitted
+        sequence does, not back at its first op's state."""
+        service, engine, tool = make_service()
+        pid = sorted(tool.probes)[0]
+        first, second, third = (service.client(PROGRAM, f"c{i}") for i in range(3))
+        jobs = [first.disable(pid), second.enable(pid), third.disable(pid)]
+        assert service.process_once() == 3
+        reply = jobs[0].result(5.0)
+        assert (reply.ops_submitted, reply.ops_applied) == (3, 2)
+        assert not tool.probes[pid].enabled
+        assert reply.report.tier == TIER_PATCH
+
     def test_batch_with_no_effect_reports_no_rebuild(self):
         service, engine, tool = make_service()
         client = service.client(PROGRAM)
@@ -267,13 +281,14 @@ class TestWorkerPool:
         """Cross-process compiles (shipped as printed IR) produce objects
         identical to in-process compiles."""
         engine, tool = make_direct()
-        engine.manager._dirty_symbols.update(engine.fragdef.owner.keys())
+        engine.manager.mark_symbols_dirty(engine.fragdef.owner.keys())
         sched = engine.manager.schedule()
         sched.apply_probes()
         batch = [
             (engine._fragment_name(f), engine._split_fragment(sched.temp_module, f))
             for f in sched.changed_fragments[:2]
         ]
+        assert len(batch) == 2
         from repro.core.engine import compile_fragment
 
         serial = [compile_fragment(text, name, 2) for name, text in batch]
