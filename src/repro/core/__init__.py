@@ -24,14 +24,7 @@ from repro.core.partition import (
 )
 from repro.core.probe import BlockProbe, InstructionProbe, Probe
 from repro.core.scheduler import Scheduler
-from repro.core.variants import (
-    VARIANT_LABELS,
-    VARIANTS,
-    make_variant,
-    odin,
-    odin_max_partition,
-    odin_one_partition,
-)
+from repro.core.variants import ALL_VARIANTS, VARIANT_LABELS
 
 __all__ = [
     "Odin", "RebuildReport", "PatchManager", "Scheduler",
@@ -39,6 +32,5 @@ __all__ = [
     "Fragment", "FragmentDefinition", "partition", "apply_fragment_linkage",
     "CLASS_BOND", "CLASS_COPY_ON_USE", "CLASS_FIXED",
     "STRATEGY_ODIN", "STRATEGY_ONE", "STRATEGY_MAX",
-    "VARIANTS", "VARIANT_LABELS", "make_variant",
-    "odin", "odin_one_partition", "odin_max_partition",
+    "ALL_VARIANTS", "VARIANT_LABELS",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.backend.isel import lower_module
 from repro.backend.machine import ObjectFile
@@ -460,62 +460,27 @@ class Odin:
 
     # -- builds -----------------------------------------------------------------
 
-    def initial_build(
-        self, patch: Optional[Callable[["Scheduler"], None]] = None
-    ) -> RebuildReport:
+    def initial_build(self) -> RebuildReport:
         """Compile every fragment (with current probes) and link."""
         self.manager.mark_symbols_dirty(self.fragdef.owner.keys())
-        return self.rebuild(patch)
+        return self.rebuild()
 
-    def rebuild(
-        self, patch: Optional[Callable[["Scheduler"], None]] = None
-    ) -> RebuildReport:
-        """Schedule, patch (default: apply scheduled probes), and rebuild."""
+    def rebuild(self) -> RebuildReport:
+        """Schedule, apply the scheduled probes, and rebuild."""
         scheduler = self.manager.schedule()
-        if patch is not None:
-            patch(scheduler)
-        else:
-            scheduler.apply_probes()
+        scheduler.apply_probes()
         return scheduler.rebuild()
 
-    def rebuild_if_needed(
-        self, patch: Optional[Callable[["Scheduler"], None]] = None
-    ) -> Optional[RebuildReport]:
+    def rebuild_if_needed(self) -> Optional[RebuildReport]:
         """Rebuild only when probe state changed since the last build.
 
         A pending diff that cancelled out (probe added then removed, or
-        toggled back to its baseline before any rebuild) is a true no-op:
-        the compiled state already matches, so it answers with a
-        zero-cost report carrying an empty span tree instead of paying
-        schedule/extract/link for nothing.
+        toggled back to the state it was built for) schedules no
+        fragment, so the rebuild answers with a zero-cost no-op report.
         """
         if not self.manager.has_pending_changes:
             return None
-        if patch is None and not self.manager.has_effective_changes():
-            return self._noop_rebuild()
-        return self.rebuild(patch)
-
-    def _noop_rebuild(self) -> RebuildReport:
-        """Zero-cost report for an empty probe-state diff."""
-        report = RebuildReport()
-        report.workers = self.compiler.workers
-        report.trace = Span(
-            "rebuild",
-            cat=CAT_REBUILD,
-            sim_start_ms=self.clock.now_ms,
-            sim_ms=0.0,
-            real_ms=0.0,
-            args={
-                "target": self.module.name,
-                "workers": report.workers,
-                "fragments": 0,
-                "probes_applied": 0,
-                "tier": TIER_NOOP,
-            },
-        )
-        self._record(report)
-        self.manager.clear_dirty()
-        return report
+        return self.rebuild()
 
     # -- internals ------------------------------------------------------------------
 
@@ -528,14 +493,24 @@ class Odin:
         vector — patch cost, 0 for cache hits, the (possibly memo-reduced)
         compile cost for the rest — prices the makespan, the lane replay
         in the span tree, and the serial clock, so fast-path fragments can
-        never skew ``compile_wall_ms``.
+        never skew ``compile_wall_ms``.  Once linked, a schedule that
+        services no fragment is every entry point's one no-op answer: a
+        zero-cost report whose span tree has no stages, the executable
+        kept.
         """
         from repro.backend.costmodel import probe_patch_cost_ms
 
         report = RebuildReport(probes_applied=len(scheduler.active_probes))
         report.workers = self.compiler.workers
-        temp = scheduler.temp_module
         sim0 = self.clock.now_ms
+        if self.executable is not None and not (
+            scheduler.patched_fragments or scheduler.changed_fragments
+        ):
+            # Every dirty fragment was skipped, or none was dirty.
+            report.trace = self._rebuild_span(report, sim0, real_ms=0.0)
+            self._record(report)
+            return report
+        temp = scheduler.temp_module
         rebuild_real_start = time.perf_counter()
 
         # Tier "patch": flip sites in cached masters — no extract, no
@@ -664,10 +639,9 @@ class Odin:
             )
 
         link_real_start = time.perf_counter()
-        patch_only = bool(entries) and all(
+        self._link(report, patch_only=all(
             tier == TIER_PATCH for _f, _c, tier, _o in entries
-        )
-        self._link(report, patch_only=patch_only, rebuilt_any=bool(entries))
+        ))
         link_real_ms = (time.perf_counter() - link_real_start) * 1000.0
         self._built.update(scheduler.states)
 
@@ -708,6 +682,25 @@ class Odin:
             return master_key
         return master_key + "|off=" + ",".join(map(str, sorted(disabled)))
 
+    def _rebuild_span(
+        self, report: RebuildReport, sim0: float, *, real_ms: float
+    ) -> Span:
+        """The root span of *report*'s tree, without its stages."""
+        return Span(
+            "rebuild",
+            cat=CAT_REBUILD,
+            sim_start_ms=sim0,
+            sim_ms=report.wall_ms,
+            real_ms=real_ms,
+            args={
+                "target": self.module.name,
+                "workers": report.workers,
+                "fragments": len(report.fragment_ids),
+                "probes_applied": report.probes_applied,
+                "tier": report.tier,
+            },
+        )
+
     def _build_rebuild_trace(
         self,
         scheduler: "Scheduler",
@@ -736,20 +729,7 @@ class Odin:
         compiles without breaking the tiling invariants.  Every fragment
         span (and the root) carries its ``tier``.
         """
-        root = Span(
-            "rebuild",
-            cat=CAT_REBUILD,
-            sim_start_ms=sim0,
-            sim_ms=report.wall_ms,
-            real_ms=rebuild_real_ms,
-            args={
-                "target": self.module.name,
-                "workers": report.workers,
-                "fragments": len(report.fragment_ids),
-                "probes_applied": report.probes_applied,
-                "tier": report.tier,
-            },
-        )
+        root = self._rebuild_span(report, sim0, real_ms=rebuild_real_ms)
         root.add(Span(
             "schedule",
             sim_start_ms=sim0,
@@ -862,28 +842,15 @@ class Odin:
         ))
         return root
 
-    def _link(
-        self,
-        report: RebuildReport,
-        *,
-        patch_only: bool = False,
-        rebuilt_any: bool = True,
-    ) -> None:
+    def _link(self, report: RebuildReport, *, patch_only: bool = False) -> None:
         """Produce the executable: reuse, patch the image, or relink.
 
-        The ladder, cheapest rung first: a rebuild that produced no new
-        objects keeps the current executable as-is; a known toggle state
-        comes straight from the executable cache; a rebuild serviced
-        entirely at the patch tier splices the toggled objects into the
-        existing image (:func:`repro.linker.linker.patch_image`) instead
-        of paying the full link; everything else relinks from the object
-        cache.
+        The ladder, cheapest rung first: a known toggle state comes
+        straight from the executable cache; a rebuild serviced entirely
+        at the patch tier splices the toggled objects into the existing
+        image (:func:`repro.linker.linker.patch_image`) instead of paying
+        the full link; everything else relinks from the object cache.
         """
-        if not rebuilt_any and self.executable is not None:
-            report.link_reused = True
-            report.link_ms = 0.0
-            return
-
         link_key = None
         if self.link_cache is not None and len(self._frag_keys) == len(
             self.fragdef.fragments

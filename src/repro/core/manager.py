@@ -155,19 +155,6 @@ class PatchManager:
         """Ids of the probes marked changed since the last rebuild."""
         return set(self._changed_ids)
 
-    def has_effective_changes(self) -> bool:
-        """Whether the pending dirt actually differs from the built state.
-
-        False when every dirty fragment would be skipped: its probes are
-        back in the state its objects were built for (probe added then
-        removed, or toggled back) and it carries no external dirt, so
-        ``rebuild_if_needed`` can answer with a zero-cost no-op.  Stops
-        at the first fragment that needs a patch or a recompile.
-        """
-        from repro.core.scheduler import classify
-
-        return any(flips != frozenset() for _f, _s, flips in classify(self.engine))
-
     def schedule(self) -> "Scheduler":
         """Run Algorithm 2 and return the scheduler for this rebuild."""
         from repro.core.scheduler import Scheduler

@@ -16,17 +16,20 @@ after the user's patch logic instruments it (``apply_probes`` or manual
 iteration over ``active_probes`` with ``map()``), ``rebuild()`` splits it
 back into per-fragment modules, optimizes, lowers, and relinks.
 
-**Stage-1 classification (the tiered fast path).**  Before stage 2,
-:func:`classify` compares each dirty fragment's live probes with the
-state its linked objects were built for.  A fragment recompiles when it
-was never built, carries external dirt (symbols marked without a probe,
-as the initial build does) or a probe marked changed, or when its
-compiled-in probe set differs (a probe added or removed, a
-non-patchable probe flipped).  Otherwise only patchable sites changed
-state: with patching enabled the fragment is diverted to
-``patched_fragments`` and serviced by deleting or restoring probe sites
-in the cached master (`repro.backend.patching`), and a fragment whose
-sites all match its current toggle is skipped outright.
+**Stage-1 classification (the tiered fast path).**  The scheduler is
+the one place a rebuild is decided: :func:`classify` runs once, over
+every dirty fragment, comparing its live probes with the state its
+linked objects were built for.  A fragment recompiles when it was never
+built, carries external dirt (symbols marked without a probe, as the
+initial build does) or a probe marked changed, or when its compiled-in
+probe set differs (a probe added or removed, a non-patchable probe
+flipped).  Otherwise only patchable sites changed state: the fragment
+is diverted to ``patched_fragments`` and serviced by deleting or
+restoring probe sites in the cached master (`repro.backend.patching`),
+or skipped outright when its sites all match its current toggle.  With
+patching disabled a rebuild that is effective at all recompiles every
+dirty fragment; one that is not diverts them all, so a cancelled diff
+schedules no fragment and the engine answers it with a zero-cost no-op.
 """
 
 from __future__ import annotations
@@ -67,15 +70,15 @@ class FragmentState(NamedTuple):
 
 def classify(
     engine: "Odin",
-) -> Iterator[Tuple[Fragment, FragmentState, Optional[frozenset]]]:
+) -> Iterator[Tuple[Fragment, List[Probe], FragmentState, Optional[frozenset]]]:
     """Decide each dirty fragment against the state it was built for.
 
-    Yields ``(fragment, live state, flips)`` in fragment order.  *flips*
-    is None when the fragment must recompile: it has no built state, or
-    it carries external dirt or a probe marked changed, or its
-    compiled-in probe set differs from the built one.  Otherwise it is
-    the set of patchable sites whose state differs from the current
-    toggle: the patch, or a skip when empty.
+    Yields ``(fragment, live probes, live state, flips)`` in fragment
+    order.  *flips* is None when the fragment must recompile: it has no
+    built state, or it carries external dirt or a probe marked changed,
+    or its compiled-in probe set differs from the built one.  Otherwise
+    it is the set of patchable sites whose state differs from the
+    current toggle: the patch, or a skip when empty.
     """
     manager = engine.manager
     fragdef = engine.fragdef
@@ -84,7 +87,8 @@ def classify(
     owner = fragdef.owner
     for fid in sorted({owner[s] for s in manager.dirty_symbols() if s in owner}):
         fragment = fragdef.fragments[fid]
-        live = FragmentState.of(manager.probes_on(fragment.symbols))
+        probes = manager.probes_on(fragment.symbols)
+        live = FragmentState.of(probes)
         built = engine._built.get(fid)
         if (
             built is None
@@ -92,9 +96,9 @@ def classify(
             or not changed.isdisjoint(live.compiled)
             or live.compiled != built.compiled
         ):
-            yield fragment, live, None
+            yield fragment, probes, live, None
         else:
-            yield fragment, live, live.disabled ^ built.disabled
+            yield fragment, probes, live, live.disabled ^ built.disabled
 
 
 class Scheduler:
@@ -105,24 +109,35 @@ class Scheduler:
         self.manager = manager = engine.manager
         schedule_start = time.perf_counter()
 
-        fragdef = engine.fragdef
-        # Stage 1: probes -> symbols.
-        changed_symbols: Set[str] = manager.dirty_symbols()
-
-        # Stage-1 classification: patched and skipped fragments leave the
-        # recompile set.  `states` holds the probe state each patched or
+        # Stages 1 and 2 (probes -> symbols -> fragments), decided once per
+        # dirty fragment: a patched or skipped fragment leaves the changed
+        # symbols, a recompiled one joins them whole.  With patching off,
+        # a rebuild that is effective at all recompiles every dirty
+        # fragment.  `states` holds the probe state each patched or
         # recompiled fragment is rebuilt for (its toggle's disabled set
         # included); `patch_touched` the number of sites a patch flips
         # (the cost driver); `patch_families` the families of those
         # probes, to which rebuild reports attribute the patch.
+        decisions = list(classify(engine))
+        divert = engine.enable_patching or all(
+            flips == frozenset() for *_, flips in decisions
+        )
+        changed_symbols: Set[str] = manager.dirty_symbols()
         self.states: Dict[int, FragmentState] = {}
         self.patched_fragments: List[Fragment] = []
         self.patch_touched: Dict[int, int] = {}
         self.patch_families: Dict[int, frozenset] = {}
-        if engine.enable_patching:
-            for fragment, live, flips in classify(engine):
-                if flips is None:
-                    continue
+        self.changed_fragments: List[Fragment] = []
+        # Stage 3: fragments -> probes (back propagation).  What gets
+        # instrumented into the temporary IR: active probes plus
+        # *disabled patchable* ones.  Sites-always-compiled — every tier
+        # realizes enable/disable by toggling sites in the compiled
+        # master, so the master must carry every patchable site
+        # regardless of its current state.  `applied_on` holds them per
+        # fragment, for its content key and its report families.
+        self.applied_on: Dict[int, List[Probe]] = {}
+        for fragment, probes, live, flips in decisions:
+            if flips is not None and divert:
                 changed_symbols.difference_update(fragment.symbols)
                 if flips:
                     self.patched_fragments.append(fragment)
@@ -132,31 +147,14 @@ class Scheduler:
                     self.patch_families[fragment.id] = frozenset(
                         family for family in families if family
                     )
-
-        # Stage 2: symbols -> fragments.
-        owner = fragdef.owner
-        self.changed_fragments: List[Fragment] = [
-            fragdef.fragments[fid]
-            for fid in sorted({owner[s] for s in changed_symbols if s in owner})
-        ]
-        for fragment in self.changed_fragments:
+                continue
+            self.changed_fragments.append(fragment)
             changed_symbols.update(fragment.symbols)
-        self.changed_symbols = changed_symbols
-
-        # Stage 3: fragments -> probes (back propagation).  What gets
-        # instrumented into the temporary IR: active probes plus
-        # *disabled patchable* ones.  Sites-always-compiled — every tier
-        # realizes enable/disable by toggling sites in the compiled
-        # master, so the master must carry every patchable site
-        # regardless of its current state.  `applied_on` holds them per
-        # fragment, for its content key and its report families.
-        self.applied_on: Dict[int, List[Probe]] = {}
-        for fragment in self.changed_fragments:
-            probes = manager.probes_on(fragment.symbols)
-            self.states[fragment.id] = FragmentState.of(probes)
+            self.states[fragment.id] = live
             self.applied_on[fragment.id] = [
                 p for p in probes if p.enabled or p.patchable
             ]
+        self.changed_symbols = changed_symbols
         self.applied_probes: List[Probe] = sorted(
             (p for applied in self.applied_on.values() for p in applied),
             key=lambda p: p.id,
@@ -176,7 +174,7 @@ class Scheduler:
             self._temp, self._vmap = extract_module_ex(
                 engine.module,
                 sorted(changed_symbols),
-                copy_on_use=fragdef.copy_on_use,
+                copy_on_use=engine.fragdef.copy_on_use,
                 name=f"{engine.module.name}.patch",
             )
         else:

@@ -7,41 +7,19 @@ Odin (original)     trial-guided    balanced
 Odin-OnePartition   1               better optimization
 Odin-MaxPartition   max possible    faster recompilation
 =================== =============== ======================
+
+An engine takes its variant as ``Odin(strategy=...)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.core.engine import Odin
 from repro.core.partition import STRATEGY_MAX, STRATEGY_ODIN, STRATEGY_ONE
-from repro.ir.module import Module
 
-VARIANTS = (STRATEGY_ODIN, STRATEGY_ONE, STRATEGY_MAX)
+#: The variants in the column order of Figures 10-12.
+ALL_VARIANTS = (STRATEGY_ONE, STRATEGY_ODIN, STRATEGY_MAX)
 
 VARIANT_LABELS = {
     STRATEGY_ODIN: "Odin",
     STRATEGY_ONE: "Odin-OnePartition",
     STRATEGY_MAX: "Odin-MaxPartition",
 }
-
-
-def odin(module: Module, preserve: Iterable[str] = ("main",), **kwargs) -> Odin:
-    """The original Odin partition scheme (trial-optimization guided)."""
-    return Odin(module, strategy=STRATEGY_ODIN, preserve=preserve, **kwargs)
-
-
-def odin_one_partition(module: Module, preserve: Iterable[str] = ("main",), **kwargs) -> Odin:
-    """Whole program in one fragment: best optimization, slowest recompile."""
-    return Odin(module, strategy=STRATEGY_ONE, preserve=preserve, **kwargs)
-
-
-def odin_max_partition(module: Module, preserve: Iterable[str] = ("main",), **kwargs) -> Odin:
-    """One fragment per symbol (innate constraints permitting): fastest
-    recompile, worst optimization."""
-    return Odin(module, strategy=STRATEGY_MAX, preserve=preserve, **kwargs)
-
-
-def make_variant(variant: str, module: Module, **kwargs) -> Odin:
-    """Instantiate an engine by variant name from :data:`VARIANTS`."""
-    return Odin(module, strategy=variant, **kwargs)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.partition import STRATEGY_MAX, STRATEGY_ODIN, STRATEGY_ONE
-from repro.core.variants import VARIANT_LABELS
+from repro.core.variants import ALL_VARIANTS, VARIANT_LABELS
 from repro.experiments.runners import (
     build_odin_engine,
     measure_baseline_cycles,
@@ -22,8 +21,6 @@ from repro.experiments.runners import (
 )
 from repro.fuzz.executor import PlainExecutor
 from repro.programs.registry import TargetProgram, all_programs
-
-ALL_VARIANTS = (STRATEGY_ONE, STRATEGY_ODIN, STRATEGY_MAX)
 
 
 @dataclass

@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.partition import STRATEGY_MAX, STRATEGY_ODIN, STRATEGY_ONE
-from repro.core.variants import VARIANT_LABELS
+from repro.core.partition import STRATEGY_ODIN, STRATEGY_ONE
+from repro.core.variants import ALL_VARIANTS, VARIANT_LABELS
 from repro.experiments.runners import build_odin_engine, deploy_odincov
 from repro.programs.registry import TargetProgram, all_programs
-
-ALL_VARIANTS = (STRATEGY_ONE, STRATEGY_ODIN, STRATEGY_MAX)
 
 
 @dataclass

@@ -161,7 +161,8 @@ class PersistentCodeCache(CodeCache):
     checksum does not verify) is rebuilt by scanning the ``.obj`` files
     on disk, so a damaged index never orphans good objects
     (``repro check`` and ``repro chaos`` inject exactly these faults to
-    prove it).
+    prove it).  A store whose write or rename fails (a full disk) leaves
+    the object uncached and counts a ``store_failures``.
 
     LRU recency ticks are persisted lazily: a hit only bumps the
     in-memory tick, and the index is flushed on stores, evictions and
@@ -184,10 +185,12 @@ class PersistentCodeCache(CodeCache):
         self.max_bytes = max_bytes
         self.flush_interval = max(flush_interval, 1)
         os.makedirs(directory, exist_ok=True)
-        # Self-healing accounting: entries moved to quarantine/ and
-        # full index rebuilds from a disk scan.
+        # Self-healing accounting: entries moved to quarantine/, full
+        # index rebuilds from a disk scan, and objects left uncached
+        # because writing or renaming their file failed.
         self.quarantined = 0
         self.index_rebuilds = 0
+        self.store_failures = 0
         self._index: Dict[str, dict] = {}
         self._tick = 0
         self._pending_ticks = 0
@@ -197,6 +200,7 @@ class PersistentCodeCache(CodeCache):
         snapshot = super().stats()
         snapshot["quarantined"] = self.quarantined
         snapshot["index_rebuilds"] = self.index_rebuilds
+        snapshot["store_failures"] = self.store_failures
         return snapshot
 
     # -- index persistence ----------------------------------------------------
@@ -384,9 +388,19 @@ class PersistentCodeCache(CodeCache):
                 self._write_index()
             return
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, self._entry_path(key))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, self._entry_path(key))
+        except OSError:
+            # A full disk or a failed rename costs a later recompile,
+            # never this rebuild: the object is just not cached.
+            self.store_failures += 1
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            return
         self._tick += 1
         self._index[key] = {
             "size": len(payload),

@@ -12,6 +12,8 @@ Three contracts from the tiered-recompilation work:
   ``compile_wall_ms``, so a fully-cached rebuild reports ~0 compile wall.
 """
 
+import random
+
 import pytest
 
 from repro.backend.patching import probe_site_ids, toggle_object
@@ -23,6 +25,7 @@ from repro.core.engine import (
     InlineFragmentCompiler,
     Odin,
 )
+from repro.core.scheduler import FragmentState, classify
 from repro.frontend.codegen import compile_source
 from repro.fuzz.executor import PRESERVED
 from repro.instrument.coverage import OdinCov
@@ -71,6 +74,12 @@ def build_engine(**kwargs):
 
 def probes_by_id(engine):
     return {p.id: p for p in engine.manager}
+
+
+def effective(engine) -> bool:
+    """Whether `classify` patches or recompiles any dirty fragment (a
+    cancelled diff skips every one)."""
+    return any(flips != frozenset() for *_, flips in classify(engine))
 
 
 def run_main(engine) -> int:
@@ -150,7 +159,7 @@ class TestNoopRebuild:
         engine.manager.disable(probes_by_id(engine)[victim])
         engine.manager.enable(probes_by_id(engine)[victim])
         assert engine.manager.has_pending_changes
-        assert not engine.manager.has_effective_changes()
+        assert not effective(engine)
 
         exe_before = engine.executable
         report = engine.rebuild_if_needed()
@@ -172,17 +181,17 @@ class TestNoopRebuild:
         engine, _ = build_engine()
         probe = probes_by_id(engine)[sorted(probes_by_id(engine))[0]]
         engine.manager.disable(probe)
-        assert engine.manager.has_effective_changes()
+        assert effective(engine)
         engine.manager.enable(probe)
         assert engine.manager.has_pending_changes
-        assert not engine.manager.has_effective_changes()
+        assert not effective(engine)
         assert engine.rebuild_if_needed().tier == TIER_NOOP
 
     def test_remove_is_never_a_noop(self):
         engine, _ = build_engine()
         victim, disabled = sorted(probes_by_id(engine))[:2]
         engine.manager.remove(probes_by_id(engine)[victim])
-        assert engine.manager.has_effective_changes()
+        assert effective(engine)
         report = engine.rebuild_if_needed()
         assert report.tier == TIER_FULL
         # Nor is removing a disabled probe, whose site the current
@@ -190,7 +199,7 @@ class TestNoopRebuild:
         engine.manager.disable(probes_by_id(engine)[disabled])
         assert engine.rebuild_if_needed().tier == TIER_PATCH
         engine.manager.remove(probes_by_id(engine)[disabled])
-        assert engine.manager.has_effective_changes()
+        assert effective(engine)
         assert engine.rebuild_if_needed().tier == TIER_FULL
 
     def test_initial_build_survives_cancelled_records(self):
@@ -218,7 +227,7 @@ class TestNoopRebuild:
         for probe in doomed:
             engine.manager.remove(probe)
         # External dirt (initial build) must win over cancelled records.
-        assert engine.manager.has_effective_changes()
+        assert effective(engine)
         report = tool.build()
         assert engine.executable is not None
         # Every fragment was compiled, including helper_a's.
@@ -240,11 +249,89 @@ class TestNoopRebuild:
         engine.manager.enable(probe)  # record cancels out
         engine.manager.mark_symbols_dirty([symbol])
         assert symbol in engine.manager.external_dirty_symbols()
-        assert engine.manager.has_effective_changes()
+        assert effective(engine)
         report = engine.rebuild_if_needed()
         assert report is not None
         assert report.tier == TIER_FULL
         assert engine.manager.external_dirty_symbols() == set()
+
+    @pytest.mark.parametrize("enable_patching", [True, False])
+    def test_every_entry_point_answers_a_cancelled_diff_alike(
+        self, enable_patching
+    ):
+        """`rebuild()`, the manual schedule / apply / rebuild path and
+        `rebuild_if_needed()` give one zero-cost no-op for a diff that
+        cancelled out, with patching on or off."""
+        engine = Odin(
+            get_program("json").compile(), preserve=PRESERVED,
+            enable_patching=enable_patching,
+        )
+        tool = OdinCov(engine)
+        tool.add_all_block_probes()
+        tool.build()
+        probe = probes_by_id(engine)[sorted(probes_by_id(engine))[0]]
+
+        def manual(engine):
+            scheduler = engine.manager.schedule()
+            scheduler.apply_probes()
+            return scheduler.rebuild()
+
+        answers = []
+        for entry in (Odin.rebuild, manual, Odin.rebuild_if_needed):
+            engine.manager.disable(probe)
+            engine.manager.enable(probe)
+            executable = engine.executable
+            report = entry(engine)
+            assert engine.executable is executable
+            assert not engine.manager.has_pending_changes
+            answers.append((
+                report.tier, report.fragment_ids, report.fragment_tiers,
+                report.probes_applied, report.cache_reused,
+                report.link_reused, report.wall_ms, report.trace.sim_ms,
+                report.trace.real_ms, report.trace.children,
+            ))
+        assert answers == [
+            (TIER_NOOP, [], {}, 0, 0, False, 0.0, 0.0, 0.0, [])
+        ] * 3
+
+
+class TestOneDecision:
+    def test_each_dirty_fragment_is_classified_once(self, monkeypatch):
+        """Seeded patch flips and one remove on json: every rebuild
+        computes each dirty fragment's live state exactly once."""
+        engine = Odin(get_program("json").compile(), preserve=PRESERVED)
+        tool = OdinCov(engine)
+        tool.add_all_block_probes()
+        tool.build()
+        owner = engine.fragdef.owner
+        classified = []
+        of = FragmentState.of.__func__
+
+        def counting_of(cls, probes):
+            classified.append(owner[probes[0].target_symbol()])
+            return of(cls, probes)
+
+        monkeypatch.setattr(FragmentState, "of", classmethod(counting_of))
+
+        def rebuild(expected_tier):
+            dirty = sorted({
+                owner[s] for s in engine.manager.dirty_symbols() if s in owner
+            })
+            classified.clear()
+            assert engine.rebuild_if_needed().tier == expected_tier
+            assert sorted(classified) == dirty
+
+        rng = random.Random(7)
+        probes = sorted(engine.manager, key=lambda p: p.id)
+        for _ in range(6):
+            for probe in rng.sample(probes, rng.randint(1, 3)):
+                if probe.enabled:
+                    engine.manager.disable(probe)
+                else:
+                    engine.manager.enable(probe)
+            rebuild(TIER_PATCH)
+        engine.manager.remove(rng.choice(probes))
+        rebuild(TIER_FULL)
 
 
 class FailingCompiler(InlineFragmentCompiler):

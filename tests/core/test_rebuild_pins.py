@@ -6,11 +6,12 @@ sequence of probe-state ops: enable, disable, toggle round trips,
 removes (of disabled probes too), new ``CovProbe``s, add-then-remove, ``mark_changed`` and
 ``mark_symbols_dirty``, a few of them before the initial build.  After
 each step it calls ``rebuild_if_needed`` and records what the engine
-decided: ``has_pending_changes`` and ``has_effective_changes()``, the
-report's tier and per-fragment tiers, each fragment span's
-``sites_touched``, ``fragment_families``, ``probes_applied``,
-``cache_hits``, ``cache_reused``, ``link_reused``,
-``repr(compile_wall_ms)`` and the executable fingerprint.
+decided: ``has_pending_changes``, whether ``classify`` patches or
+recompiles any dirty fragment (``effective``), the report's tier and
+per-fragment tiers, each fragment span's ``sites_touched``,
+``fragment_families``, ``probes_applied``, ``cache_hits``,
+``cache_reused``, ``link_reused``, ``repr(compile_wall_ms)`` and the
+executable fingerprint.
 
 The cases cover an engine with ``enable_patching=False``, one with an
 ``InMemoryCodeCache`` and a ``LinkCache``, and one whose compiler raises
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.core.engine import InlineFragmentCompiler, Odin
+from repro.core.scheduler import classify
 from repro.fuzz.executor import PRESERVED
 from repro.instrument.asan import ASanTool
 from repro.instrument.cmplog import add_cmp_probes
@@ -250,7 +252,7 @@ def _rebuild_row(engine: Odin, ops: List[str]) -> dict:
     row = {
         "ops": ops,
         "pending": manager.has_pending_changes,
-        "effective": manager.has_effective_changes(),
+        "effective": any(flips != frozenset() for *_, flips in classify(engine)),
     }
     try:
         report = engine.rebuild_if_needed()

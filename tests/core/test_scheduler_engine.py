@@ -203,6 +203,8 @@ class TestEngine:
 
     def test_rebuild_without_initial_build_fails(self):
         engine = make_engine()
+        with pytest.raises(PartitionError, match="initial_build"):
+            engine.rebuild()  # nothing pending, but nothing linked either
         alpha = engine.module.get("alpha")
         engine.manager.add(NopProbe(alpha, alpha.entry))
         with pytest.raises(PartitionError, match="initial_build"):

@@ -1,5 +1,8 @@
 """Content-addressed code cache behaviour: keys, LRU, persistence."""
 
+import errno
+import os
+
 import pytest
 
 from repro.backend.machine import DataSymbol, MachineFunction, MachineInst, ObjectFile
@@ -290,6 +293,54 @@ class TestIndexPersistence:
 class TestSelfHealing:
     """Quarantine + index auto-rebuild: damage degrades to a miss and the
     evidence is preserved, never an exception and never wrong code."""
+
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_failed_store_is_a_miss_not_a_failed_build(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """A full disk while storing objects: the build still succeeds,
+        nothing is cached and no temp file is left behind."""
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if failing == "rename":
+            replace = os.replace
+
+            def failing_replace(src, dst, *args, **kwargs):
+                if str(dst).endswith(".obj"):
+                    disk_full()
+                return replace(src, dst, *args, **kwargs)
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+        else:
+            fdopen = os.fdopen
+
+            def failing_fdopen(fd, mode="r", *args, **kwargs):
+                fh = fdopen(fd, mode, *args, **kwargs)
+                if "b" in mode:
+                    monkeypatch.setattr(fh, "write", disk_full)
+                return fh
+
+            monkeypatch.setattr(os, "fdopen", failing_fdopen)
+
+        def build():
+            engine = Odin(
+                get_program("json").compile(), preserve=PRESERVED,
+                object_cache=cache,
+            )
+            OdinCov(engine).add_all_block_probes()
+            return engine, engine.initial_build()
+
+        cache = PersistentCodeCache(str(tmp_path))
+        engine, report = build()
+        monkeypatch.undo()
+        assert engine.executable is not None
+        assert cache.stats()["store_failures"] == len(report.fragment_ids) > 0
+        assert len(cache) == 0
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+        _engine, again = build()
+        assert again.cache_hits == 0
 
     def test_corrupt_blob_is_quarantined_not_raised(self, tmp_path):
         cache = PersistentCodeCache(str(tmp_path))
