@@ -10,8 +10,8 @@ decided: ``has_pending_changes``, whether ``classify`` patches or
 recompiles any dirty fragment (``effective``), the report's tier and
 per-fragment tiers, each fragment span's ``sites_touched``,
 ``fragment_families``, ``probes_applied``, ``cache_hits``,
-``cache_reused``, ``link_reused``, ``repr(compile_wall_ms)`` and the
-executable fingerprint.
+``cache_reused``, ``repr(compile_wall_ms)`` and the executable
+fingerprint.
 
 The cases cover an engine with ``enable_patching=False``, one with an
 ``InMemoryCodeCache`` and a ``LinkCache``, and one whose compiler raises
@@ -241,7 +241,6 @@ def _report_row(engine: Odin, report) -> Optional[dict]:
         "probes_applied": report.probes_applied,
         "cache_hits": report.cache_hits,
         "cache_reused": report.cache_reused,
-        "link_reused": report.link_reused,
         "compile_wall_ms": repr(report.compile_wall_ms),
         "executable": engine.executable_fingerprint(),
     }
