@@ -11,7 +11,7 @@ FuzzyFlow's cutout-based differential testing of program transformations:
 * :mod:`repro.check.oracle` — one replay loop with two referees:
   ``DifferentialOracle`` replays each schedule incrementally (engine or
   recompilation service) and from scratch, and ``TierSweep`` replays it
-  through the patch, memo and full recompile tiers side by side
+  through the patch and full recompile tiers side by side
   (``repro check --tiers``); both assert object-byte, linked-image and
   behavioural equivalence over a seed corpus (``diff_engines``, the one
   three-layer diff every replayer uses);

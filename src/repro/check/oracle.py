@@ -18,8 +18,8 @@ and after every effective step assert three layers of equivalence:
    coverage maps over a seed corpus.
 
 :class:`TierSweep` (``repro check --tiers``) runs the same replay loop
-over three engines side by side — patch, memo and full recompile tiers
-— and diffs the fast tiers against the full path at the same three
+over two engines side by side — the patch and full recompile tiers —
+and diffs the patch tier against the full path at the same three
 layers.  Zero divergences is the bar: a fast tier may not be merely
 "close" to the slow one.
 
@@ -38,7 +38,7 @@ from repro.fuzz.executor import PRESERVED, OdinCovExecutor, run_input
 from repro.instrument.coverage import CoverageRuntime, OdinCov
 from repro.linker.linker import Executable
 from repro.programs.registry import TargetProgram
-from repro.service.cache import InMemoryCodeCache, PassMemoCache
+from repro.service.cache import InMemoryCodeCache
 from repro.service.jobs import OP_REMOVE, ProbeOp
 from repro.service.server import RecompilationService
 from repro.utils.rng import DeterministicRNG
@@ -203,7 +203,7 @@ class _Session:
 
     With *service* options the engine is registered on a
     :class:`~repro.service.server.RecompilationService` (background
-    dispatcher, shared content cache, link cache, worker pool) and every
+    dispatcher, shared content cache, worker pool) and every
     probe op travels through a client — the full production path.
     *odin_kwargs* configure the engine either way.
     """
@@ -380,14 +380,12 @@ class DifferentialOracle:
 
 
 class TierSweep(DifferentialOracle):
-    """Replays schedules through the patch, memo and full tiers at once.
+    """Replays schedules through the patch and full tiers at once.
 
     * **patch** — stage-1 probe patching and an object cache: pure
       toggles patch the cached master object;
-    * **memo** — no patching, no object cache, pass memoization: every
-      rebuild re-lowers, but optimized IR replays from the memo;
     * **full** — everything off: the classic incremental path, which
-      the two fast tiers are diffed against.
+      the patch tier is diffed against.
     """
 
     report_type = TierSweepReport
@@ -399,8 +397,6 @@ class TierSweep(DifferentialOracle):
         return [
             _Session(self.program, "patch", enable_patching=True,
                      object_cache=InMemoryCodeCache()),
-            _Session(self.program, "memo", enable_patching=False,
-                     pass_memo=PassMemoCache()),
             _Session(self.program, "full", enable_patching=False),
         ]
 

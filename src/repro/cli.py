@@ -232,8 +232,8 @@ def cmd_check(args) -> int:
     )
     if args.tiers:
         # Tier-sweep mode: replay the same schedules through the
-        # patch-only, memo-only and full paths and demand byte/behaviour
-        # equivalence.  Replaces the ordinary oracle run — three engines
+        # patch-only and full paths and demand byte/behaviour
+        # equivalence.  Replaces the ordinary oracle run — two engines
         # per schedule is the expensive part, not the oracle around it.
         from repro.check import TierSweep
 
@@ -846,7 +846,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--tiers", action="store_true",
-        help="replay schedules through patch-only/memo-only/full engines "
+        help="replay schedules through patch-only and full engines "
              "and assert object-byte, image and behaviour equivalence",
     )
     p_check.add_argument("--no-prune", action="store_true",

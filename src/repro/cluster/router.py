@@ -6,10 +6,9 @@ keyed on **fragment content keys**: a target's routing key is the
 digest of its canonical printed module IR, so two tenants fuzzing the
 same program land on the same shard (and a failover reroutes them to
 the same surviving shard together).  All shards mount *one* shared
-content-addressed object cache and *one* shared pass-memo cache, so a
-compile done for any tenant on any shard is a hit for every other
-tenant — and a migrated target's post-failover rebuild is mostly cache
-hits rather than fresh compiles.
+content-addressed object cache, so a compile done for any tenant on any
+shard is a hit for every other tenant — and a migrated target's
+post-failover rebuild is mostly cache hits rather than fresh compiles.
 
 Failover protocol (everything deterministic given the fault sequence):
 
@@ -56,7 +55,6 @@ from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.metrics import MetricsRegistry
-from repro.service.cache import PassMemoCache
 from repro.service.jobs import ProbeOp
 from repro.service.resilience import BREAKER_OPEN
 from repro.service.server import RecompilationService, open_code_cache
@@ -122,11 +120,10 @@ class CompileCluster:
     ):
         if shards < 1:
             raise ClusterError("a cluster needs at least one shard")
-        # The shared cache tier: ONE object cache + ONE pass memo,
-        # mounted by every shard.  Content keys are tenant-agnostic, so
-        # identical work from different tenants/shards hits.
+        # The shared cache tier: ONE object cache, mounted by every
+        # shard.  Content keys are tenant-agnostic, so identical work
+        # from different tenants/shards hits.
         self.cache = open_code_cache(cache_dir)
-        self.pass_memo = PassMemoCache()
         self.metrics = MetricsRegistry()
         self.heartbeat_miss_threshold = heartbeat_miss_threshold
         self.reply_timeout_s = reply_timeout_s
@@ -136,9 +133,7 @@ class CompileCluster:
         self.shards: Dict[str, Shard] = {}
         for index in range(shards):
             shard_id = f"shard-{index}"
-            service = RecompilationService(
-                cache=self.cache, pass_memo=self.pass_memo
-            )
+            service = RecompilationService(cache=self.cache)
             self.shards[shard_id] = Shard(shard_id, service)
         self.initial_shards = shards
         self.ring = ConsistentHashRing(
@@ -452,5 +447,4 @@ class CompileCluster:
         }
         snapshot["tenants"] = self.tenants.stats()
         snapshot["shared_cache"] = self.cache.stats()
-        snapshot["pass_memo"] = self.pass_memo.stats()
         return snapshot

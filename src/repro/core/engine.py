@@ -21,10 +21,10 @@ paper's "functional approach" (§4).
 Fragment compilation is factored into the pure, module-level
 :func:`compile_fragment` so the recompilation service
 (:mod:`repro.service`) can run it on worker pools; the engine accepts a
-pluggable content-addressed *object cache*, a *fragment compiler* and a
-*link cache* for that path.  With the defaults (no caches, inline serial
-compiler) behaviour and every reported number are identical to the
-original single-threaded engine.
+pluggable content-addressed *object cache* and a *fragment compiler* for
+that path.  With the defaults (no cache, inline serial compiler)
+behaviour and every reported number are identical to the original
+single-threaded engine.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.core.partition import (
 from repro.errors import PartitionError
 from repro.ir.clone import ExtractionPlan
 from repro.ir.module import Module
-from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
 from repro.linker.linker import Executable, link, patch_image
 from repro.obs.tracer import (
@@ -63,27 +62,24 @@ from repro.utils.clock import SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scheduler import FragmentState, Scheduler
-    from repro.linker.cache import LinkCache
 
 
 # Rebuild tiers, cheapest path last.  Every fragment of a rebuild is
 # tagged with how it was serviced; a report's overall tier is the most
 # expensive tier any of its fragments took.
 TIER_FULL = "full"    # optimize + isel (nothing reusable)
-TIER_MEMO = "memo"    # optimization memoized; isel only
 TIER_CACHE = "cache"  # finished object served from the content cache
 TIER_PATCH = "patch"  # probe sites toggled in the cached master object
 TIER_NOOP = "noop"    # probe-state diff was empty; nothing rebuilt
 
-_TIER_RANK = (TIER_FULL, TIER_MEMO, TIER_CACHE, TIER_PATCH, TIER_NOOP)
+_TIER_RANK = (TIER_FULL, TIER_CACHE, TIER_PATCH, TIER_NOOP)
 
 
 # -- pure fragment compilation ---------------------------------------------------
 
 
 def compile_fragment(
-    text: str, name: str, opt_level: int = 2, sanitize: bool = False,
-    memo=None,
+    text: str, name: str, opt_level: int = 2, sanitize: bool = False
 ) -> ObjectFile:
     """Parse one fragment's canonical IR text, optimize it
     (post-instrumentation) and lower it.
@@ -100,13 +96,6 @@ def compile_fragment(
     ``sanitize`` runs the probe-integrity sanitizer between optimization
     passes (debug builds); its findings ride back on the object file as
     ``obj.sanitizer_diagnostics``.
-
-    ``memo`` is an optional pass-memoization cache (anything with
-    ``get(key)``/``put(key, entry)`` over :class:`repro.opt.memo.MemoEntry`
-    payloads, e.g. :class:`repro.service.cache.PassMemoCache`).  On a hit
-    the middle end is skipped entirely: the memoized optimized IR is
-    re-parsed and lowered, charging only the backend share of the cost
-    model (``stage_breakdown["memo_hit"]`` marks such objects).
     """
     from repro.backend.costmodel import compile_cost_ms, middle_end_cost_ms
     from repro.ir.parser import parse_module
@@ -117,29 +106,8 @@ def compile_fragment(
     pre_opt_cost = compile_cost_ms(frag_module)
     opt_model_ms = middle_end_cost_ms(frag_module)
 
-    key = None
-    if memo is not None:
-        from repro.opt.memo import memo_key
-
-        key = memo_key(text, opt_level, sanitize)
-        entry = memo.get(key)
-        if entry is not None:
-            return _replay_memo_entry(
-                entry, name, sanitize,
-                isel_ms=pre_opt_cost - opt_model_ms, real_start=real_start,
-            )
-
     ctx = optimize(frag_module, opt_level, sanitize_each=sanitize)
     verify_module(frag_module)
-    if key is not None:
-        from repro.opt.memo import MemoEntry
-
-        # Snapshot before lowering: isel's critical-edge splitting
-        # mutates the CFG, and replays must lower exactly this IR.
-        memo.put(key, MemoEntry(
-            print_module(frag_module),
-            tuple(ctx.diagnostics) if sanitize else (),
-        ))
     obj = lower_module(frag_module)
     verify_module(frag_module)  # lowering must not break the IR
     obj.compile_ms = pre_opt_cost
@@ -154,28 +122,6 @@ def compile_fragment(
     }
     if sanitize:
         obj.sanitizer_diagnostics = list(ctx.diagnostics)
-    return obj
-
-
-def _replay_memo_entry(
-    entry, name: str, sanitize: bool, *, isel_ms: float, real_start: float,
-) -> ObjectFile:
-    """Lower a memoized optimized-IR snapshot: the tier-2 fast path."""
-    from repro.ir.parser import parse_module
-
-    replay = parse_module(entry.ir_text, name)
-    verify_module(replay)
-    obj = lower_module(replay)
-    obj.compile_ms = isel_ms
-    obj.stage_breakdown = {
-        "optimize_ms": 0.0,
-        "isel_ms": isel_ms,
-        "passes": [],
-        "memo_hit": True,
-        "real_ms": (time.perf_counter() - real_start) * 1000.0,
-    }
-    if sanitize:
-        obj.sanitizer_diagnostics = list(entry.diagnostics)
     return obj
 
 
@@ -316,10 +262,6 @@ class RebuildReport:
     # Fragments serviced by stage-1 probe patching (sites toggled in the
     # cached master object; no optimize, no isel).
     patched: int = 0
-    # Fragments whose middle end was skipped via pass memoization.
-    memo_hits: int = 0
-    # Whether the final link was satisfied from the executable cache.
-    link_reused: bool = False
     # Compile lanes used; >1 only on the service's worker-pool path.
     workers: int = 1
     # Simulated wall-clock of the compile stage: equals total_compile_ms
@@ -365,15 +307,14 @@ class InlineFragmentCompiler:
 
     workers = 1
 
-    def __init__(self, sanitize: bool = False, memo=None):
+    def __init__(self, sanitize: bool = False):
         self.sanitize = sanitize
-        self.memo = memo
 
     def compile_batch(
         self, fragments: List[Tuple[str, str]], opt_level: int
     ) -> List[ObjectFile]:
         return [
-            compile_fragment(text, name, opt_level, self.sanitize, memo=self.memo)
+            compile_fragment(text, name, opt_level, self.sanitize)
             for name, text in fragments
         ]
 
@@ -390,12 +331,10 @@ class Odin:
         opt_level: int = 2,
         object_cache=None,
         compiler=None,
-        link_cache: Optional["LinkCache"] = None,
         sanitize: bool = False,
         tracer: Optional[Tracer] = None,
         variant_label: str = "",
         enable_patching: bool = True,
-        pass_memo=None,
     ):
         verify_module(module)
         self.module = module          # original, unoptimized whole-program IR
@@ -413,41 +352,26 @@ class Odin:
         # mapping-like with get(key)/put(key, obj) (see repro.service.cache),
         # `compiler` anything with compile_batch(...) and a `workers` count.
         self.object_cache = object_cache
-        # Tier-2 pass memoization, handed to the default compiler.  A
-        # custom `compiler` (service worker pools) receives its memo via
-        # `make_compiler(..., memo=...)` instead.
-        self.pass_memo = pass_memo
-        self.compiler = compiler or InlineFragmentCompiler(
-            sanitize=sanitize, memo=pass_memo
-        )
-        self.link_cache = link_cache
+        self.compiler = compiler or InlineFragmentCompiler(sanitize=sanitize)
         # Variant family this engine compiles (run-time partitioned
         # sanitization, e.g. "clean"/"coverage"/"sanitized").  The label
-        # becomes a dimension of both the fragment content keys and the
-        # link-cache key, so co-resident families sharing caches never
-        # alias each other's objects or images.
+        # is a dimension of the fragment content keys, so co-resident
+        # families sharing one object cache never alias each other's
+        # objects.
         self.variant_label = variant_label
-        # Fragment id -> content key of the object currently in `cache`
-        # (only tracked when content addressing is on).  For fragments
-        # holding patchable sites the key carries an `|off=` suffix with
-        # the disabled site set, so the link-cache key distinguishes
-        # toggle states of one master.
-        self._frag_keys: Dict[int, str] = {}
         # Stage-1 patching state.  Sites-always-compiled: `_masters`
         # holds each fragment's object with *every* patchable probe site
         # compiled in; `cache` holds the toggle of that master matching
         # the current enable/disable state; `_built` the `FragmentState`
         # the linked objects were built for, which the scheduler's
         # `classify` compares with the live probes (committed only once a
-        # rebuild has linked); `_master_keys` the master's content key;
-        # `_site_indexes` the master's `SiteIndex`, built on its first
+        # rebuild has linked); `_site_indexes` the master's `SiteIndex`, built on its first
         # toggle that disables anything (kept here, not on the object,
         # which the code caches pickle).
         self.enable_patching = enable_patching
         self._masters: Dict[int, ObjectFile] = {}
         self._site_indexes: Dict[int, SiteIndex] = {}
         self._built: Dict[int, "FragmentState"] = {}
-        self._master_keys: Dict[int, str] = {}
         self.executable: Optional[Executable] = None
         self.clock = SimClock()
         # The latest rebuild reports, oldest first (at most the tracer's
@@ -488,10 +412,10 @@ class Odin:
         """Split the instrumented temporary IR, compile fragments, relink.
 
         Every fragment is serviced at one of the tiers: stage-1 *patch*
-        (toggle probe sites in the cached master), content-cache *hit*,
-        *memo* (middle end skipped) or *full* compile.  One unified cost
-        vector — patch cost, 0 for cache hits, the (possibly memo-reduced)
-        compile cost for the rest — prices the makespan, the lane replay
+        (toggle probe sites in the cached master), content-cache *hit* or
+        *full* compile.  One unified cost vector — patch cost, 0 for
+        cache hits, the compile cost for the rest — prices the makespan,
+        the lane replay
         in the span tree, and the serial clock, so fast-path fragments can
         never skew ``compile_wall_ms``.  Once linked, a schedule that
         services no fragment is every entry point's one no-op answer: a
@@ -572,28 +496,18 @@ class Odin:
             self.sanitizer_diagnostics.extend(report.sanitizer_diagnostics)
         compile_real_ms = (time.perf_counter() - compile_real_start) * 1000.0
 
-        for fid, toggled in toggles.items():
-            self.cache[fid] = toggled
-            master_key = self._master_keys.get(fid)
-            if master_key is not None:
-                self._frag_keys[fid] = self._toggled_key(
-                    master_key, scheduler.states[fid].disabled
-                )
+        self.cache.update(toggles)
         miss_ids = {id(entry) for entry in misses}
         for entry in pending:
-            fragment, _text, key, master = entry
-            disabled = scheduler.states[fragment.id].disabled
+            fragment, _text, _key, master = entry
             if self._masters.get(fragment.id) is not master:
                 self._masters[fragment.id] = master
                 self._site_indexes.pop(fragment.id, None)
-            self.cache[fragment.id] = self._toggle(fragment.id, disabled)
-            if key is not None:
-                self._master_keys[fragment.id] = key
-                self._frag_keys[fragment.id] = self._toggled_key(key, disabled)
+            self.cache[fragment.id] = self._toggle(
+                fragment.id, scheduler.states[fragment.id].disabled
+            )
             if id(entry) in miss_ids:
-                breakdown = getattr(master, "stage_breakdown", None)
-                memo_hit = bool(breakdown and breakdown.get("memo_hit"))
-                tier = TIER_MEMO if memo_hit else TIER_FULL
+                tier = TIER_FULL
                 cost = master.compile_ms
             else:
                 # Content-cache hit: no compilation happened, charge 0.
@@ -613,8 +527,6 @@ class Odin:
                 }))
             if tier == TIER_PATCH:
                 report.patched += 1
-            elif tier == TIER_MEMO:
-                report.memo_hits += 1
             if report.workers == 1:
                 # Original serial behaviour: the clock moves per
                 # fragment, in schedule order (zero-cost tiers move it
@@ -674,13 +586,6 @@ class Odin:
             if index is None:
                 index = self._site_indexes[fragment_id] = SiteIndex(master)
         return toggle_object(master, disabled, index)
-
-    @staticmethod
-    def _toggled_key(master_key: str, disabled: frozenset) -> str:
-        """Content key of a toggle state of one master object."""
-        if not disabled:
-            return master_key
-        return master_key + "|off=" + ",".join(map(str, sorted(disabled)))
 
     def _rebuild_span(
         self, report: RebuildReport, sim0: float, *, real_ms: float
@@ -759,7 +664,6 @@ class Odin:
                 "workers": report.workers,
                 "cache_hits": report.cache_hits,
                 "patched": report.patched,
-                "memo_hits": report.memo_hits,
                 "compiled": len(report.fragment_ids)
                 - report.cache_hits
                 - report.patched,
@@ -838,35 +742,17 @@ class Odin:
             sim_start_ms=sim0 + report.compile_wall_ms,
             sim_ms=report.link_ms,
             real_ms=link_real_ms,
-            args={"link_reused": report.link_reused},
         ))
         return root
 
     def _link(self, report: RebuildReport, *, patch_only: bool = False) -> None:
-        """Produce the executable: reuse, patch the image, or relink.
+        """Produce the executable: patch the image, or relink.
 
-        The ladder, cheapest rung first: a known toggle state comes
-        straight from the executable cache; a rebuild serviced entirely
-        at the patch tier splices the toggled objects into the existing
-        image (:func:`repro.linker.linker.patch_image`) instead of paying
-        the full link; everything else relinks from the object cache.
+        A rebuild serviced entirely at the patch tier splices the toggled
+        objects into the existing image
+        (:func:`repro.linker.linker.patch_image`) instead of paying the
+        full link; everything else relinks from the per-fragment cache.
         """
-        link_key = None
-        if self.link_cache is not None and len(self._frag_keys) == len(
-            self.fragdef.fragments
-        ):
-            # The variant label leads the key: families sharing one
-            # LinkCache can never reuse each other's image.
-            link_key = (f"variant={self.variant_label}",) + tuple(
-                self._frag_keys[f.id] for f in self.fragdef.fragments
-            )
-            cached = self.link_cache.get(link_key)
-            if cached is not None:
-                self.executable = cached
-                report.link_reused = True
-                report.link_ms = 0.0
-                return
-
         if patch_only and self.executable is not None:
             patched_objects = {
                 self.cache[fid].name: self.cache[fid]
@@ -874,18 +760,12 @@ class Odin:
                 if tier == TIER_PATCH
             }
             self.executable = patch_image(self.executable, patched_objects)
-            report.link_ms = self.executable.link_ms
-            self.clock.advance(report.link_ms, "link")
-            if link_key is not None:
-                self.link_cache.put(link_key, self.executable)
-            return
-
-        objects = [self.cache[f.id] for f in self.fragdef.fragments]
-        self.executable = link(objects)
+        else:
+            self.executable = link(
+                [self.cache[f.id] for f in self.fragdef.fragments]
+            )
         report.link_ms = self.executable.link_ms
         self.clock.advance(report.link_ms, "link")
-        if link_key is not None:
-            self.link_cache.put(link_key, self.executable)
 
     @staticmethod
     def _probe_signature(applied) -> str:
@@ -894,7 +774,7 @@ class Odin:
         Signs the fragment's *applied* probes — active ones plus disabled
         patchable ones — because that is what the master object
         physically carries (sites-always-compiled); the enable/disable
-        state lives in the toggle suffix of the link key, not here.
+        state is realized by toggling the master, not signed here.
         """
         return ",".join(sorted(
             f"{p.family or '-'}/{type(p).__name__}#{p.id}" for p in applied

@@ -1,16 +1,14 @@
-"""Executable image cache: skip relinking identical object sets.
+"""Executable image cache: a bounded LRU of linked executables.
 
-The linker already supports Odin's *object* reuse (cached object files
-participate in many links, §3.3).  The recompilation service adds one
-level above that: when every fragment of a rebuild hits the
-content-addressed code cache, the set of objects being linked is
-byte-identical to an earlier link — so the executable image itself can
-be reused and the link stage skipped entirely.
+No build path uses it.  The engine either relinks from its objects or
+splices a patch-only rebuild into the current image; an image cache in
+front of that never hit on measured traffic, so it was taken out of the
+engine, the service and the variant builder.  The class stays only
+because the benchmark's layer tracer (``perfbench/tracing.py``) wraps
+:meth:`LinkCache.get`; it goes together with that hook.
 
-Keys are tuples of the fragments' content-cache keys in fragment order,
-so this cache only engages when the engine runs with a content cache
-(it is the content keys that prove the objects are identical).  The
-cache is in-memory and bounded; eviction is LRU.
+Keys are tuples of strings; the cache is in-memory and bounded, and
+eviction is LRU.
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ def run_profile(
         1
         for report in controller.rebuilds
         for tier in report.fragment_tiers.values()
-        if tier in ("full", "memo")
+        if tier == "full"
     )
 
     report = ProfileReport(

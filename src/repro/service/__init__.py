@@ -13,13 +13,11 @@ in one, structured like an inference server:
 * :mod:`repro.service.cache` — **persistent content-addressed code
   cache** keyed by hash(fragment IR + probe state + opt level); hits
   skip compilation, survive restarts, and are shared across clients.
-  Behind it sits the in-memory pass memo, consulted only on a miss.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   service facade and the handle fuzzers hold instead of calling
   ``Odin.rebuild()`` directly.  A service is configured by its worker
-  pool, cache, fault handling, queue bound and an optional shared pass
-  memo; its poll interval, timeouts, cache budget and link-cache size
-  are constants of :mod:`repro.service.server`.
+  pool, cache, fault handling and queue bound; its poll interval,
+  timeouts and cache budget are constants of :mod:`repro.service.server`.
 * observability — each service's
   :class:`repro.obs.metrics.MetricsRegistry` (queue depth, batch size,
   cache hit rate, per-stage latency percentiles) and one

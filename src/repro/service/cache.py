@@ -508,14 +508,14 @@ class PersistentCodeCache(CodeCache):
 
 
 class PassMemoCache(InMemoryCodeCache):
-    """Tier-2 pass-memoization cache: optimized-IR snapshots, in memory.
+    """An in-memory cache for pass-memo payloads (optimized-IR snapshots).
 
-    Same LRU/size-budget/accounting machinery as the object caches, but
-    the payload is a :class:`repro.opt.memo.MemoEntry` (optimized IR
-    text) keyed by :func:`repro.opt.memo.memo_key` — hash of (canonical
-    input IR, pass-pipeline identity).  The engine consults it inside
-    :func:`repro.core.engine.compile_fragment`, before the middle end
-    runs; a hit skips optimization and pays only instruction selection.
+    Same LRU/size-budget/accounting machinery as the object caches.
+    Nothing constructs one: the pass-memo tier, which never hit on
+    measured traffic, is gone from every build path.  The class stays
+    only because the benchmark's layer tracer (``perfbench/tracing.py``)
+    tells memo lookups from code-cache lookups with
+    ``isinstance(..., PassMemoCache)``; it goes together with that hook.
     """
 
     def __init__(self, max_bytes: int = 32 * 1024 * 1024):

@@ -274,7 +274,6 @@ class SupervisedCompiler:
         batch_timeout_s: Optional[float] = None,
         sleep: Callable[[float], None] = time.sleep,
         fault_injector: Optional[Callable] = None,
-        memo=None,
     ):
         try:
             self.ladder: Tuple[str, ...] = DEGRADATION_LADDERS[mode]
@@ -290,9 +289,6 @@ class SupervisedCompiler:
         self.tracer = tracer
         self.batch_timeout_s = batch_timeout_s
         self.fault_injector = fault_injector
-        # Pass-memoization cache handed to every rung; only the serial
-        # rung consults it (process rungs compile memo-less).
-        self.memo = memo
         self._sleep = sleep
         self._rung = 0
         self._compilers: dict = {}
@@ -321,7 +317,6 @@ class SupervisedCompiler:
             compiler = make_compiler(
                 self.mode, self.requested_workers,
                 batch_timeout_s=self.batch_timeout_s,
-                memo=self.memo,
             )
             self._compilers[self._rung] = compiler
         return compiler

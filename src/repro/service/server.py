@@ -7,7 +7,7 @@ Structure (inference-server style)::
                                          ──▶ Odin.rebuild
                                                ├─ content cache (hits skip compile)
                                                ├─ fragment worker pool (misses)
-                                               └─ link cache (skip relink)
+                                               └─ link (or patch the image)
                                          ──▶ ServiceReply fan-out to jobs
 
 The dispatcher drains *all* pending requests for a target into one
@@ -45,16 +45,10 @@ from typing import Dict, List, Optional
 from repro.core.engine import Odin, RebuildReport
 from repro.errors import ReproError
 from repro.ir.module import Module
-from repro.linker.cache import LinkCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import stage_totals
 from repro.obs.tracer import CAT_FAULT, CAT_SERVICE, Tracer
-from repro.service.cache import (
-    CodeCache,
-    InMemoryCodeCache,
-    PassMemoCache,
-    PersistentCodeCache,
-)
+from repro.service.cache import CodeCache, InMemoryCodeCache, PersistentCodeCache
 from repro.service.jobs import (
     CompileRequest,
     Job,
@@ -75,7 +69,6 @@ log = logging.getLogger("repro.service")
 
 # Fixed for every service; none of these is a constructor value.
 CACHE_MAX_BYTES = 64 * 1024 * 1024  # a self-made code cache's budget
-LINK_CACHE_ENTRIES = 32             # linked executables kept per target
 POLL_INTERVAL_S = 0.02              # dispatcher idle poll and drain poll
 BATCH_TIMEOUT_S = 30.0              # longest a worker-pool batch may run
 DRAIN_TIMEOUT_S = 30.0              # stop()'s default drain budget
@@ -112,9 +105,9 @@ class RecompilationService:
 
     Settable: the worker pool (``workers``, ``worker_mode``), the code
     cache (a shared ``cache`` or a ``cache_dir`` to persist one in),
-    fault handling (``retry_policy``, ``breaker``), the operator's
-    backpressure bound (``queue_max_depth``) and an optional shared
-    ``pass_memo``.  Everything else is a module constant.
+    fault handling (``retry_policy``, ``breaker``) and the operator's
+    backpressure bound (``queue_max_depth``).  Everything else is a
+    module constant.
     """
 
     def __init__(
@@ -127,15 +120,10 @@ class RecompilationService:
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         queue_max_depth: Optional[int] = None,
-        pass_memo: Optional[PassMemoCache] = None,
     ):
         if cache is not None and cache_dir is not None:
             raise ServiceError("pass either cache or cache_dir, not both")
         self.cache = cache if cache is not None else open_code_cache(cache_dir)
-        # Pass memoization, shared by every target and every rung of the
-        # degradation ladder.  The cluster hands all of its shards one
-        # memo (like one object cache) so failovers keep it.
-        self.pass_memo = pass_memo if pass_memo is not None else PassMemoCache()
         self.metrics = MetricsRegistry()
         # One tracer shared by every target engine and the dispatcher:
         # rebuild span trees nest under the dispatch ("service.batch")
@@ -150,7 +138,6 @@ class RecompilationService:
             metrics=self.metrics,
             tracer=self.tracer,
             batch_timeout_s=BATCH_TIMEOUT_S,
-            memo=self.pass_memo,
         )
         self.queue = JobQueue(max_depth=queue_max_depth, metrics=self.metrics)
         self._targets: Dict[str, _Target] = {}
@@ -169,13 +156,8 @@ class RecompilationService:
         # Engine construction is slow; do it outside the lock and settle
         # concurrent registrations of the same name at insertion.
         odin_kwargs.setdefault("tracer", self.tracer)
-        odin_kwargs.setdefault("pass_memo", self.pass_memo)
         engine = Odin(
-            module,
-            object_cache=self.cache,
-            compiler=self.compiler,
-            link_cache=LinkCache(LINK_CACHE_ENTRIES),
-            **odin_kwargs,
+            module, object_cache=self.cache, compiler=self.compiler, **odin_kwargs
         )
         with self._state_lock:
             if name in self._targets:
@@ -430,11 +412,8 @@ class RecompilationService:
         m.inc("cache_hits", report.cache_hits)
         m.inc("cache_misses", compiled)
         m.inc("fragments_patched", report.patched)
-        m.inc("memo_hits", report.memo_hits)
         m.inc(f"rebuild_tier.{report.tier}")
         m.inc("probes_applied", report.probes_applied)
-        if report.link_reused:
-            m.inc("links_reused")
         m.observe("compile_sim_ms", report.compile_wall_ms)
         m.observe("link_sim_ms", report.link_ms)
         m.observe("rebuild_sim_ms", report.wall_ms)
@@ -449,14 +428,12 @@ class RecompilationService:
         """The ``stats()`` endpoint: metrics + cache + queue snapshot."""
         snapshot = self.metrics.stats()
         snapshot["code_cache"] = self.cache.stats()
-        snapshot["pass_memo"] = self.pass_memo.stats()
         # Single-lock snapshot: the queue dict used to be assembled from
         # seven independent reads and could tear mid-update (a shed
         # between reads made shed_total != shed_expired + shed_overflow).
         snapshot["queue"] = self.queue.stats()
         with self._state_lock:
             targets = sorted(self._targets)
-            entries = list(self._targets.items())
         snapshot["service"] = {
             "targets": targets,
             "workers": self.compiler.workers,
@@ -464,7 +441,4 @@ class RecompilationService:
             "compiler": self.compiler.stats(),
         }
         snapshot["breaker"] = self.breaker.stats()
-        snapshot["link_cache"] = {
-            name: entry.engine.link_cache.stats() for name, entry in entries
-        }
         return snapshot

@@ -179,18 +179,10 @@ def make_compiler(
     mode: str = MODE_SERIAL,
     workers: int = 1,
     batch_timeout_s: Optional[float] = None,
-    memo=None,
 ):
-    """Build the fragment compiler for *mode* / *workers*.
-
-    ``memo`` (a :class:`repro.service.cache.PassMemoCache`) threads
-    pass memoization through the serial compiler; process pools compile
-    without one — a shared in-memory memo cannot be consulted from a
-    forked worker, and shipping one per batch would cost more than the
-    middle end it saves.
-    """
+    """Build the fragment compiler for *mode* / *workers*."""
     if mode == MODE_SERIAL or workers <= 1:
-        return InlineFragmentCompiler(memo=memo)
+        return InlineFragmentCompiler()
     if mode == MODE_PROCESS:
         return ProcessFragmentCompiler(workers, batch_timeout_s=batch_timeout_s)
     raise ValueError(f"unknown worker mode {mode!r}; expected one of {MODES}")

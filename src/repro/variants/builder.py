@@ -2,9 +2,9 @@
 
 One :class:`~repro.core.engine.Odin` engine per family, all sharing:
 
-* one object cache and one link cache — the ``variant_label`` dimension
-  in the content keys keeps co-resident families from ever aliasing each
-  other's objects or images (see :mod:`repro.service.cache`);
+* one object cache — the ``variant_label`` dimension in the content
+  keys keeps co-resident families from ever aliasing each other's
+  objects (see :mod:`repro.service.cache`);
 * one :class:`~repro.obs.tracer.Tracer` — every family's rebuild trees
   and the builder's own spans land in a single timeline, which is how a
   de-instrumentation recompile stays observable inside the span tree.
@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.engine import Odin, RebuildReport
 from repro.instrument.base import SanitizerTool
-from repro.linker.cache import LinkCache
 from repro.linker.variants import VariantExecutable, link_variants
 from repro.obs.tracer import Tracer
 from repro.service.cache import InMemoryCodeCache
@@ -64,7 +63,6 @@ class VariantBuilder:
         opt_level: int = 2,
         trap: bool = False,
         object_cache=None,
-        link_cache: Optional[LinkCache] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.spec = spec if spec is not None else default_spec()
@@ -77,7 +75,6 @@ class VariantBuilder:
         self.object_cache = (
             object_cache if object_cache is not None else InMemoryCodeCache()
         )
-        self.link_cache = link_cache if link_cache is not None else LinkCache()
         self.tracer = tracer if tracer is not None else Tracer()
         self.builds: Dict[str, FamilyBuild] = {}
         self.executable: Optional[VariantExecutable] = None
@@ -101,7 +98,6 @@ class VariantBuilder:
                         preserve=self.preserve,
                         opt_level=self.opt_level,
                         object_cache=self.object_cache,
-                        link_cache=self.link_cache,
                         tracer=self.tracer,
                         variant_label=family.name,
                     )

@@ -1,4 +1,4 @@
-"""The tier sweep: all three recompile tiers produce identical artifacts."""
+"""The tier sweep: the patch and full tiers produce identical artifacts."""
 
 from repro.check import TierSweep, generate_schedules
 from repro.check.schedules import (
@@ -20,7 +20,7 @@ class TestTierSweep:
         assert "ok" in report.summary()
 
     def test_sweep_exercises_every_tier(self):
-        """A toggle-then-remove schedule must hit patch, memo and full."""
+        """A toggle-then-remove schedule must hit patch and full."""
         schedule = ProbeSchedule(
             schedule_id=0,
             seed=7,
@@ -34,9 +34,7 @@ class TestTierSweep:
         report = sweep.run([schedule])
         assert report.ok, report.mismatches
         hit = report.tiers_hit
-        # The patch session patches the toggles; the memo session's
-        # remove replays memoized IR for untouched-but-recompiled
-        # fragments; everything else is the full path.
+        # The patch session patches the toggles; everything else is the
+        # full path.
         assert hit.get("patch", 0) >= 1
-        assert hit.get("memo", 0) >= 1
         assert hit.get("full", 0) >= 1

@@ -92,7 +92,6 @@ class TestSharedCacheTier:
         try:
             for shard in cluster.shards.values():
                 assert shard.service.cache is cluster.cache
-                assert shard.service.pass_memo is cluster.pass_memo
         finally:
             cluster.close()
 
@@ -168,6 +167,5 @@ class TestStats:
                 assert "breaker" in shard_stats
             assert "alice" in stats["tenants"]["tenants"]
             assert "shared_cache" in stats
-            assert "pass_memo" in stats
         finally:
             cluster.close()

@@ -287,11 +287,11 @@ class TestNoopRebuild:
             answers.append((
                 report.tier, report.fragment_ids, report.fragment_tiers,
                 report.probes_applied, report.cache_reused,
-                report.link_reused, report.wall_ms, report.trace.sim_ms,
+                report.wall_ms, report.trace.sim_ms,
                 report.trace.real_ms, report.trace.children,
             ))
         assert answers == [
-            (TIER_NOOP, [], {}, 0, 0, False, 0.0, 0.0, 0.0, [])
+            (TIER_NOOP, [], {}, 0, 0, 0.0, 0.0, 0.0, [])
         ] * 3
 
 

@@ -3,8 +3,8 @@
 ``Odin._split_fragment`` prints every changed fragment straight from the
 instrumented temporary IR.  The reference is the clone that text
 replaces: ``print_module`` of ``extract_module`` after
-``apply_fragment_linkage``.  Content keys, memo keys and persistent
-caches carry over only if the two are equal byte for byte, and
+``apply_fragment_linkage``.  Content keys and persistent caches carry
+over only if the two are equal byte for byte, and
 ``compile_fragment`` parses the text once, so it must also survive a
 parse/print round trip.
 """

@@ -14,9 +14,8 @@ per-fragment tiers, each fragment span's ``sites_touched``,
 fingerprint.
 
 The cases cover an engine with ``enable_patching=False``, one with an
-``InMemoryCodeCache`` and a ``LinkCache``, and one whose compiler raises
-on a batch that follows a patch in the same rebuild, which is then
-retried.
+``InMemoryCodeCache``, and one whose compiler raises on a batch that
+follows a patch in the same rebuild, which is then retried.
 
 ``rebuild_pins.json`` stores one digest per rebuild plus the tier list,
 so a failure names the first rebuild that moved.  A change to how
@@ -44,7 +43,6 @@ from repro.instrument.asan import ASanTool
 from repro.instrument.cmplog import add_cmp_probes
 from repro.instrument.coverage import CovProbe, OdinCov
 from repro.instrument.ubsan import UBSanTool
-from repro.linker.cache import LinkCache
 from repro.profile.tool import Profiler
 from repro.programs.registry import get_program
 from repro.service.cache import InMemoryCodeCache
@@ -110,7 +108,6 @@ def _engine(case: Case) -> Odin:
         kwargs["enable_patching"] = False
     elif case.engine == "cached":
         kwargs["object_cache"] = InMemoryCodeCache()
-        kwargs["link_cache"] = LinkCache()
     elif case.engine == "flaky":
         kwargs["compiler"] = FlakyCompiler()
     engine = Odin(get_program(case.program).compile(), preserve=PRESERVED, **kwargs)

@@ -1,12 +1,18 @@
 """Direct unit tests for the bounded LRU :class:`LinkCache`.
 
-The cache was previously covered only indirectly through service-level
-suites; these tests pin down its contract — LRU eviction order, hit/miss
-accounting, bound validation, and the epoch semantics of ``clear()``.
+No build path uses the cache; it is kept for the benchmark's layer
+tracer.  Until it goes, these tests pin down its contract — LRU eviction
+order, hit/miss accounting, bound validation, and the epoch semantics of
+``clear()`` — and check that no other module names it or
+``PassMemoCache``.
 """
+
+import os
+import re
 
 import pytest
 
+import repro
 from repro.linker.cache import LinkCache
 
 
@@ -92,3 +98,22 @@ class TestLinkCacheValidation:
         cache.put(_key("b"), "exe-b")
         assert len(cache) == 1
         assert cache.get(_key("b")) == "exe-b"
+
+
+class TestTracerOnlyNames:
+    def test_no_other_module_names_them(self):
+        """``LinkCache`` and ``PassMemoCache`` are kept only for the
+        benchmark's layer tracer: no build path may pick them up again."""
+        root = os.path.dirname(repro.__file__)
+        own = {os.path.join("linker", "cache.py"), os.path.join("service", "cache.py")}
+        named = []
+        for dirpath, _dirs, files in os.walk(root):
+            for fname in files:
+                path = os.path.join(dirpath, fname)
+                rel = os.path.relpath(path, root)
+                if not fname.endswith(".py") or rel in own:
+                    continue
+                with open(path, encoding="utf-8") as fh:
+                    if re.search(r"\b(LinkCache|PassMemoCache)\b", fh.read()):
+                        named.append(rel)
+        assert named == []

@@ -109,12 +109,6 @@ def check_tree_invariants(report) -> None:
         assert isel.sim_start_ms == frag_span.sim_start_ms + opt.sim_ms
         # ...and the per-pass spans tile optimize exactly.
         passes = opt.children
-        if tier == "memo":
-            # Memoized middle end: the optimize span collapses to zero
-            # cost with no per-pass children; isel carries everything.
-            assert opt.sim_ms == 0.0
-            assert passes == []
-            continue
         assert passes, "expected per-pass spans under optimize"
         assert all(p.cat == CAT_PASS for p in passes)
         assert all(p.sim_ms >= 0.0 for p in passes)

@@ -8,7 +8,6 @@ import pytest
 from repro.backend.machine import DataSymbol, MachineFunction, MachineInst, ObjectFile
 from repro.core.engine import Odin, fragment_content_key
 from repro.instrument.coverage import OdinCov
-from repro.opt.memo import MemoEntry
 from repro.programs.registry import get_program
 from repro.service.cache import InMemoryCodeCache, PersistentCodeCache
 
@@ -73,8 +72,7 @@ class TestContentKey:
         """Sites-always-compiled: disabling a patchable probe leaves the
         instrumented IR — and therefore the master's content key —
         unchanged.  The enable/disable state is realized by toggling the
-        compiled object and carried in the link key's ``|off=`` suffix,
-        never in the content address."""
+        compiled object, never in the content address."""
         engine = Odin(get_program("libjpeg").compile(), preserve=PRESERVED)
         tool = OdinCov(engine)
         tool.add_all_block_probes()
@@ -87,12 +85,6 @@ class TestContentKey:
                 engine.manager.disable(probe)
         frag_b, _ = split_probed_fragment(engine)
         assert fragment_content_key(frag_a, 2) == fragment_content_key(frag_b, 2)
-        # Toggle states of one master get distinct link keys.
-        assert Odin._toggled_key("k", frozenset()) == "k"
-        assert Odin._toggled_key("k", frozenset({3, 1})) == "k|off=1,3"
-        assert Odin._toggled_key("k", frozenset({3})) != Odin._toggled_key(
-            "k", frozenset({1})
-        )
 
 
 class TestInMemoryCache:
@@ -372,10 +364,10 @@ class TestSelfHealing:
 
     def test_wrong_payload_type_degrades_to_miss(self, tmp_path):
         """An entry whose bytes pass their checksum but unpickle to
-        something other than an ObjectFile (here a pass-memo snapshot)
-        is quarantined and served as a miss, never returned."""
+        something other than an ObjectFile (here IR text) is
+        quarantined and served as a miss, never returned."""
         PersistentCodeCache(str(tmp_path)).put(
-            "k", MemoEntry("define i32 @f() {\nentry:\n  ret i32 0\n}\n")
+            "k", "define i32 @f() {\nentry:\n  ret i32 0\n}\n"
         )
         cache = PersistentCodeCache(str(tmp_path))
         assert cache.get("k") is None

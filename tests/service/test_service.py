@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.core.engine import TIER_PATCH, Odin, compile_makespan
-from repro.frontend.codegen import compile_source
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import get_program
 from repro.service import (
@@ -14,7 +13,7 @@ from repro.service import (
     ServiceError,
     SupervisedCompiler,
 )
-from repro.service.cache import InMemoryCodeCache, PassMemoCache
+from repro.service.cache import InMemoryCodeCache
 from repro.service.jobs import OP_DISABLE
 from repro.service.workers import ProcessFragmentCompiler, make_compiler
 
@@ -91,9 +90,12 @@ class TestCacheBehaviour:
     def test_warm_rebuild_skips_compilation(self):
         """Flipping a probe off and back on never recompiles: both steps
         are serviced at the patch tier (sites toggled in the cached
-        master), and the return to the baseline state reuses the original
-        linked image outright."""
+        master), and the return to the baseline state splices the master
+        back into the image for less than the initial link, giving the
+        initial build's image."""
         service, engine, tool = make_service()
+        initial = engine.history[-1]
+        initial_fp = engine.executable_fingerprint()
         client = service.client(PROGRAM)
         pid = sorted(tool.probes)[0]
         client.disable(pid)
@@ -107,7 +109,8 @@ class TestCacheBehaviour:
         report = engine.history[-1]
         assert report.tier == "patch"
         assert report.total_compile_ms < 1.0
-        assert report.link_reused  # identical object set: relink skipped
+        assert report.link_ms < initial.link_ms
+        assert engine.executable_fingerprint() == initial_fp
 
     def test_cold_vs_warm_service_restart(self, tmp_path):
         """Persistent cache: a restarted service rebuilds the same target
@@ -308,20 +311,14 @@ class TestWorkerPool:
 
 class TestFixedSettings:
     def test_fixed_settings(self):
-        """What a caller cannot set: a 64 MiB in-memory cache, a
-        supervised pool with a 30 s batch deadline, a pass memo of the
-        service's own, 32 link-cache entries per target."""
+        """What a caller cannot set: a 64 MiB in-memory cache and a
+        supervised pool with a 30 s batch deadline."""
         service = RecompilationService()
         try:
             assert isinstance(service.cache, InMemoryCodeCache)
             assert service.cache.max_bytes == 64 * 1024 * 1024
             assert isinstance(service.compiler, SupervisedCompiler)
             assert service.compiler.batch_timeout_s == 30.0
-            assert isinstance(service.pass_memo, PassMemoCache)
-            engine = service.register_target(
-                "tiny", compile_source("int main(void) { return 0; }", "tiny")
-            )
-            assert engine.link_cache.max_entries == 32
         finally:
             service.close()
 

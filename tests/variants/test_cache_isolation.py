@@ -1,15 +1,11 @@
-"""Variant labels keep shared caches from serving one family's artifacts
-to another — the acceptance property for co-resident variants.
-
-Both cache layers are covered: the content-addressed object cache
-(fragment content keys) and the link cache (image keys).
+"""Variant labels keep a shared object cache from serving one family's
+objects to another — the acceptance property for co-resident variants.
 """
 
 import pytest
 
 from repro.core.engine import Odin, fragment_content_key
 from repro.instrument.coverage import OdinCov
-from repro.linker.cache import LinkCache
 from repro.programs.registry import get_program
 from repro.service.cache import InMemoryCodeCache, PersistentCodeCache
 from repro.variants.builder import VariantBuilder
@@ -85,50 +81,3 @@ class TestSharedObjectCache:
         cache.put(clean_key, obj)
         assert cache.get(clean_key) is not None
         assert cache.get(other_key) is None
-
-
-class TestSharedLinkCache:
-    def test_link_keys_are_variant_prefixed(self):
-        program = get_program("json")
-        shared = LinkCache()
-        builder = VariantBuilder(
-            program.compile, preserve=PRESERVED, link_cache=shared
-        )
-        builder.build()
-        labels = {key[0] for key in shared._entries}
-        assert labels == {
-            f"variant={name}"
-            for name in (FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED)
-        }
-
-    def test_identical_probe_state_still_misses_across_variants(self):
-        # Clean and coverage-with-all-probes-disabled compile identical
-        # fragment IR; only the variant label separates their images in a
-        # shared link cache.
-        program = get_program("json")
-        shared = LinkCache()
-        cache = InMemoryCodeCache()
-
-        clean = Odin(
-            program.compile(),
-            preserve=PRESERVED,
-            object_cache=cache,
-            link_cache=shared,
-            variant_label="clean",
-        )
-        clean.initial_build()
-
-        other = Odin(
-            program.compile(),
-            preserve=PRESERVED,
-            object_cache=cache,
-            link_cache=shared,
-            variant_label="other",
-        )
-        other.initial_build()
-
-        # Identical probe state (none) and identical source: the images
-        # are byte-identical, yet each variant linked its own.
-        assert clean.executable_fingerprint() == other.executable_fingerprint()
-        assert len(shared) == 2
-        assert shared.hits == 0
