@@ -10,15 +10,20 @@ clock.  pytest-benchmark still measures real time separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 @dataclass
 class SimClock:
-    """Accumulates simulated milliseconds, with named spans for breakdowns."""
+    """Accumulates simulated milliseconds, with a running total per label.
+
+    Only the totals are kept, so an engine's clock stays the same size
+    however many rebuilds advance it.  Each total adds its advances in
+    order from 0.0, the same floats a sum over every advance gives.
+    """
 
     now_ms: float = 0.0
-    _spans: List[Tuple[str, float]] = field(default_factory=list)
+    _totals: Dict[str, float] = field(default_factory=dict)
 
     def advance(self, ms: float, label: str = "") -> None:
         """Advance the clock by *ms* milliseconds under an optional label."""
@@ -26,23 +31,16 @@ class SimClock:
             raise ValueError(f"cannot advance clock by negative time: {ms}")
         self.now_ms += ms
         if label:
-            self._spans.append((label, ms))
-
-    def spans(self) -> List[Tuple[str, float]]:
-        """Return all labelled spans recorded so far, in order."""
-        return list(self._spans)
+            self._totals[label] = self._totals.get(label, 0.0) + ms
 
     def total(self, label: str) -> float:
         """Return the total simulated time spent under *label*."""
-        return sum(ms for name, ms in self._spans if name == label)
+        return self._totals.get(label, 0.0)
 
     def breakdown(self) -> Dict[str, float]:
-        """Return label -> total ms for every labelled span."""
-        out: Dict[str, float] = {}
-        for name, ms in self._spans:
-            out[name] = out.get(name, 0.0) + ms
-        return out
+        """Return label -> total ms for every label, in first-use order."""
+        return dict(self._totals)
 
     def reset(self) -> None:
         self.now_ms = 0.0
-        self._spans.clear()
+        self._totals.clear()

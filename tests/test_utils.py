@@ -1,8 +1,14 @@
 """Tests for the utility layer: union-find, simulated clock, RNG."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.engine import Odin
+from repro.fuzz.executor import PRESERVED
+from repro.instrument.coverage import OdinCov
+from repro.programs.registry import get_program
 from repro.utils.clock import SimClock
 from repro.utils.rng import DeterministicRNG
 from repro.utils.unionfind import UnionFind
@@ -80,7 +86,30 @@ class TestSimClock:
         clock.advance(3.0, "x")
         clock.reset()
         assert clock.now_ms == 0.0
-        assert clock.spans() == []
+        assert clock.breakdown() == {}
+
+    def test_engine_clock_does_not_grow_with_rebuilds(self):
+        """Every patch flip advances the engine's clock under a label;
+        the clock keeps one total per label, not one entry per advance."""
+        engine = Odin(get_program("json").compile(), preserve=PRESERVED)
+        tool = OdinCov(engine)
+        tool.add_all_block_probes()
+        tool.build()
+        probe = min(engine.manager, key=lambda p: p.id)
+
+        def flip(times):
+            for _ in range(times):
+                if probe.enabled:
+                    engine.manager.disable(probe)
+                else:
+                    engine.manager.enable(probe)
+                engine.rebuild_if_needed()
+
+        flip(100)
+        size = len(pickle.dumps(engine.clock))
+        flip(500)
+        assert len(pickle.dumps(engine.clock)) == size
+        assert engine.clock.total("link") > 0.0
 
 
 class TestDeterministicRNG:
