@@ -1,11 +1,9 @@
 """Executable image cache: a bounded LRU of linked executables.
 
-No build path uses it.  The engine either relinks from its objects or
-splices a patch-only rebuild into the current image; an image cache in
-front of that never hit on measured traffic, so it was taken out of the
-engine, the service and the variant builder.  The class stays only
-because the benchmark's layer tracer (``perfbench/tracing.py``) wraps
-:meth:`LinkCache.get`; it goes together with that hook.
+No build path uses it: the engine either relinks from its objects or
+splices a patch-only rebuild into the current image.  The class stays
+only because the benchmark's layer tracer (``perfbench/tracing.py``)
+wraps :meth:`LinkCache.get`; it goes together with that hook.
 
 Keys are tuples of strings; the cache is in-memory and bounded, and
 eviction is LRU.

@@ -511,11 +511,10 @@ class PassMemoCache(InMemoryCodeCache):
     """An in-memory cache for pass-memo payloads (optimized-IR snapshots).
 
     Same LRU/size-budget/accounting machinery as the object caches.
-    Nothing constructs one: the pass-memo tier, which never hit on
-    measured traffic, is gone from every build path.  The class stays
-    only because the benchmark's layer tracer (``perfbench/tracing.py``)
-    tells memo lookups from code-cache lookups with
-    ``isinstance(..., PassMemoCache)``; it goes together with that hook.
+    No build path constructs one.  The class stays only because the
+    benchmark's layer tracer (``perfbench/tracing.py``) tells memo
+    lookups from code-cache lookups with ``isinstance(...,
+    PassMemoCache)``; it goes together with that hook.
     """
 
     def __init__(self, max_bytes: int = 32 * 1024 * 1024):
