@@ -365,9 +365,9 @@ class Odin:
         # the current enable/disable state; `_built` the `FragmentState`
         # the linked objects were built for, which the scheduler's
         # `classify` compares with the live probes (committed only once a
-        # rebuild has linked); `_site_indexes` the master's `SiteIndex`, built on its first
-        # toggle that disables anything (kept here, not on the object,
-        # which the code caches pickle).
+        # rebuild has linked); `_site_indexes` the master's `SiteIndex`,
+        # built on its first toggle that disables anything (kept here, not
+        # on the object, which the code caches pickle).
         self.enable_patching = enable_patching
         self._masters: Dict[int, ObjectFile] = {}
         self._site_indexes: Dict[int, SiteIndex] = {}
@@ -415,9 +415,8 @@ class Odin:
         (toggle probe sites in the cached master), content-cache *hit* or
         *full* compile.  One unified cost vector — patch cost, 0 for
         cache hits, the compile cost for the rest — prices the makespan,
-        the lane replay
-        in the span tree, and the serial clock, so fast-path fragments can
-        never skew ``compile_wall_ms``.  Once linked, a schedule that
+        the lane replay in the span tree, and the serial clock, so
+        fast-path fragments can never skew ``compile_wall_ms``.  Once linked, a schedule that
         services no fragment is every entry point's one no-op answer: a
         zero-cost report whose span tree has no stages, the executable
         kept.

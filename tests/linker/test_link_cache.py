@@ -7,6 +7,7 @@ order, hit/miss accounting, bound validation, and the epoch semantics of
 ``PassMemoCache``.
 """
 
+import glob
 import os
 import re
 
@@ -105,15 +106,15 @@ class TestTracerOnlyNames:
         """``LinkCache`` and ``PassMemoCache`` are kept only for the
         benchmark's layer tracer: no build path may pick them up again."""
         root = os.path.dirname(repro.__file__)
-        own = {os.path.join("linker", "cache.py"), os.path.join("service", "cache.py")}
+        own = {
+            os.path.join(root, "linker", "cache.py"),
+            os.path.join(root, "service", "cache.py"),
+        }
         named = []
-        for dirpath, _dirs, files in os.walk(root):
-            for fname in files:
-                path = os.path.join(dirpath, fname)
-                rel = os.path.relpath(path, root)
-                if not fname.endswith(".py") or rel in own:
-                    continue
-                with open(path, encoding="utf-8") as fh:
-                    if re.search(r"\b(LinkCache|PassMemoCache)\b", fh.read()):
-                        named.append(rel)
+        for path in glob.glob(os.path.join(root, "**", "*.py"), recursive=True):
+            with open(path, encoding="utf-8") as fh:
+                if path not in own and re.search(
+                    r"\b(LinkCache|PassMemoCache)\b", fh.read()
+                ):
+                    named.append(os.path.relpath(path, root))
         assert named == []
