@@ -15,9 +15,10 @@ requirement for the partitioner.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.analysis import bottom_up_sccs
+from repro.ir.analysis import bottom_up_sccs, reachable_blocks
 from repro.ir.builder import IRBuilder, split_block
 from repro.ir.clone import ValueMap, clone_instruction
 from repro.ir.instructions import CallInst, PhiInst, RetInst
@@ -31,54 +32,121 @@ INLINE_THRESHOLD = 40
 # (the definition dies afterwards, so code size cannot grow).
 SINGLE_CALLSITE_THRESHOLD = 160
 
+# A count per function: direct call sites or address-taken references.
+Counts = Dict[Function, int]
+
+
+class CallSiteIndex:
+    """Which functions of a module have exactly one call site, for one
+    inliner run.
+
+    The counts are taken at the first query, one scan of every defined
+    function.  Inlining a call site rewrites only its caller (the callee
+    is cloned, not changed), so :meth:`recount` of the caller after each
+    inline keeps every count exact: whatever the cloned body brings in,
+    new direct calls, an indirect call through a parameter that became
+    direct, a function pointer that replaced the call's result, shows up
+    in the caller's recount.
+    """
+
+    def __init__(self, module: Module):
+        self.module = module
+        # Per defined function: its ({callee: calls}, {function: refs}).
+        self._by_fn: Optional[Dict[Function, Tuple[Counts, Counts]]] = None
+        self._calls: Counter = Counter()
+        self._taken: Counter = Counter()
+        self._aliased: Set[Function] = set()
+
+    def _build(self) -> None:
+        self._by_fn = {}
+        self._aliased = {alias.aliasee for alias in self.module.aliases()}
+        for fn in self.module.defined_functions():
+            self._add(fn)
+
+    def _add(self, fn: Function) -> None:
+        """Count *fn*'s direct call sites and address-taken references
+        to every function: any operand but a call's callee slot, phi
+        incomings included."""
+        calls: Counts = {}
+        taken: Counts = {}
+        for block in fn.blocks:
+            for inst in block.instructions:
+                ops = inst.operands
+                if isinstance(inst, CallInst):
+                    callee = ops[0]
+                    if isinstance(callee, Function):
+                        calls[callee] = calls.get(callee, 0) + 1
+                    ops = ops[1:]
+                elif isinstance(inst, PhiInst):
+                    ops = ops + inst.used_values()
+                for op in ops:
+                    if isinstance(op, Function):
+                        taken[op] = taken.get(op, 0) + 1
+        self._by_fn[fn] = (calls, taken)
+        self._calls.update(calls)
+        self._taken.update(taken)
+
+    def recount(self, fn: Function) -> None:
+        """Re-count *fn*'s body after it changed."""
+        if self._by_fn is None:
+            return  # nothing counted yet
+        calls, taken = self._by_fn[fn]
+        self._calls.subtract(calls)
+        self._taken.subtract(taken)
+        self._add(fn)
+
+    def single_call_site(self, fn: Function) -> bool:
+        """Whether *fn* is called directly exactly once in the module,
+        its address is never taken and no alias targets it."""
+        if self._by_fn is None:
+            self._build()
+        return self._calls[fn] == 1 and not self._taken[fn] and fn not in self._aliased
+
 
 class FunctionInlining(Pass):
     name = "inline"
 
-    def __init__(
-        self,
-        threshold: int = INLINE_THRESHOLD,
-        single_callsite_threshold: int = SINGLE_CALLSITE_THRESHOLD,
-    ):
-        self.threshold = threshold
-        self.single_callsite_threshold = single_callsite_threshold
-
     def run(self, module: Module, ctx: OptContext) -> bool:
         changed = False
+        sccs = bottom_up_sccs(module)
         scc_of: Dict[str, int] = {}
-        for i, scc in enumerate(bottom_up_sccs(module)):
+        for i, scc in enumerate(sccs):
             for name in scc:
                 scc_of[name] = i
 
-        for scc in bottom_up_sccs(module):
+        call_sites = CallSiteIndex(module)
+        for scc in sccs:
             for caller_name in scc:
                 caller = module.get_or_none(caller_name)
                 if not isinstance(caller, Function) or caller.is_declaration():
                     continue
-                changed |= self._inline_calls_in(caller, module, scc_of, ctx)
+                changed |= self._inline_calls_in(caller, scc_of, call_sites, ctx)
         return changed
 
     def _inline_calls_in(
-        self, caller: Function, module: Module, scc_of: Dict[str, int], ctx: OptContext
+        self, caller: Function, scc_of: Dict[str, int], call_sites: CallSiteIndex,
+        ctx: OptContext,
     ) -> bool:
         changed = False
         progress = True
         while progress:
             progress = False
             for inst in caller.instructions():
-                callee = self._inlinable_callee(inst, caller, module, scc_of)
+                callee = self._inlinable_callee(inst, caller, scc_of, call_sites)
                 if callee is None:
                     continue
                 ctx.log_requirement(REQ_BOND, callee.name, caller.name, self.name)
                 ctx.charge(callee.count_instructions())
                 inline_call_site(inst, callee)
+                call_sites.recount(caller)
                 ctx.count("inline.sites")
                 progress = changed = True
                 break  # block list changed; restart the scan
         return changed
 
+    @staticmethod
     def _inlinable_callee(
-        self, inst, caller: Function, module: Module, scc_of: Dict[str, int]
+        inst, caller: Function, scc_of: Dict[str, int], call_sites: CallSiteIndex
     ) -> Optional[Function]:
         if not isinstance(inst, CallInst):
             return None
@@ -92,35 +160,15 @@ class FunctionInlining(Pass):
         if scc_of.get(callee.name) == scc_of.get(caller.name):
             return None  # mutual recursion
         size = callee.count_instructions()
-        if size <= self.threshold:
+        if size <= INLINE_THRESHOLD:
             return callee
         if (
             callee.is_internal
-            and size <= self.single_callsite_threshold
-            and self._single_call_site(callee, module)
+            and size <= SINGLE_CALLSITE_THRESHOLD
+            and call_sites.single_call_site(callee)
         ):
             return callee
         return None
-
-    @staticmethod
-    def _single_call_site(callee: Function, module: Module) -> bool:
-        sites = 0
-        for fn in module.defined_functions():
-            for inst in fn.instructions():
-                if isinstance(inst, CallInst) and inst.callee is callee:
-                    sites += 1
-                    if sites > 1:
-                        return False
-                ops = list(inst.operands)
-                if isinstance(inst, PhiInst):
-                    ops.extend(inst.used_values())
-                for i, op in enumerate(ops):
-                    if op is callee and not (isinstance(inst, CallInst) and i == 0):
-                        return False  # address taken
-        for alias in module.aliases():
-            if alias.aliasee is callee:
-                return False
-        return sites == 1
 
 
 def inline_call_site(call: CallInst, callee: Function) -> None:
@@ -137,8 +185,6 @@ def inline_call_site(call: CallInst, callee: Function) -> None:
 
     # Clone in reverse-postorder (defs before non-phi uses); drop
     # unreachable callee blocks.
-    from repro.ir.analysis import reachable_blocks
-
     order = reachable_blocks(callee)
     for cb in order:
         vmap.put_block(cb, caller.add_block(f"{callee.name}.{cb.name}"))

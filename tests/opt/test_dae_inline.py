@@ -1,6 +1,8 @@
 """Tests for Dead Argument Elimination and Function Inlining — the two
 interprocedural passes whose requirements drive the partitioner (§2.3)."""
 
+import pytest
+
 from repro.ir.instructions import CallInst
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
@@ -260,3 +262,196 @@ entry:
 """
         )
         assert not FunctionInlining().run(m, OptContext())
+
+
+def big_callee(name: str = "big", adds: int = 60, linkage: str = "internal ") -> str:
+    """An ``i32 -> i32`` function of ``adds + 1`` instructions: by
+    default too big for the plain threshold, small enough for the
+    single-call-site one."""
+    body = "\n".join(f"  %x{i} = add i32 %x, {i}" for i in range(adds))
+    return f"""
+define {linkage}i32 @{name}(i32 %x) {{
+entry:
+{body}
+  ret i32 %x{adds - 1}
+}}
+"""
+
+
+def calls_to(module, caller: str, callee: str) -> int:
+    return sum(
+        isinstance(i, CallInst) and i.called_function_name() == callee
+        for i in module.get(caller).instructions()
+    )
+
+
+def inline(source: str):
+    m = parse_module(source)
+    FunctionInlining().run(m, OptContext())
+    verify_module(m)
+    return m
+
+
+class TestSingleCallSite:
+    """An internal callee of 41-160 instructions is inlined only at its
+    one direct call site, and only when nothing else refers to it."""
+
+    @pytest.mark.parametrize("adds, inlined", [(40, True), (159, True), (160, False)])
+    def test_one_call_site_inlined_up_to_160_instructions(self, adds, inlined):
+        m = inline(big_callee(adds=adds) + """
+define i32 @main() {
+entry:
+  %r = call i32 @big(i32 1)
+  ret i32 %r
+}
+""")
+        assert calls_to(m, "main", "big") == (0 if inlined else 1)
+
+    def test_two_call_sites_not_inlined(self):
+        m = inline(big_callee() + """
+define i32 @main() {
+entry:
+  %r = call i32 @big(i32 1)
+  ret i32 %r
+}
+
+define i32 @other() {
+entry:
+  %r = call i32 @big(i32 2)
+  ret i32 %r
+}
+""")
+        assert calls_to(m, "main", "big") == calls_to(m, "other", "big") == 1
+
+    def test_external_callee_not_inlined(self):
+        m = inline(big_callee(linkage="") + """
+define i32 @main() {
+entry:
+  %r = call i32 @big(i32 1)
+  ret i32 %r
+}
+""")
+        assert calls_to(m, "main", "big") == 1
+
+    @pytest.mark.parametrize("escape", [
+        "  call void @sink(ptr @big)",
+        "  store ptr @big, ptr @slot",
+        "  %p = select i1 true, ptr @big, ptr @slot\n"
+        "  store ptr %p, ptr @slot",
+    ], ids=["call-argument", "store", "select"])
+    def test_address_taken_not_inlined(self, escape):
+        m = inline(big_callee() + f"""
+@slot = global ptr null
+
+declare void @sink(ptr)
+
+define i32 @main() {{
+entry:
+{escape}
+  %r = call i32 @big(i32 1)
+  ret i32 %r
+}}
+""")
+        assert calls_to(m, "main", "big") == 1
+
+    def test_address_taken_by_phi_incoming_not_inlined(self):
+        m = inline(big_callee() + """
+@slot = global ptr null
+
+define i32 @main(i1 %c) {
+entry:
+  br i1 %c, label %a, label %b
+a:
+  br label %join
+b:
+  br label %join
+join:
+  %p = phi ptr [ @big, %a ], [ @slot, %b ]
+  store ptr %p, ptr @slot
+  %r = call i32 @big(i32 1)
+  ret i32 %r
+}
+""")
+        assert calls_to(m, "main", "big") == 1
+
+    def test_alias_target_not_inlined(self):
+        m = inline(big_callee() + """
+@big_alias = alias @big
+
+define i32 @main() {
+entry:
+  %r = call i32 @big(i32 1)
+  ret i32 %r
+}
+""")
+        assert calls_to(m, "main", "big") == 1
+
+    # In the three cases below, @main first inlines @other, a
+    # single-call-site callee, so @big's answer is asked again after the
+    # run has already answered a single-call-site question.
+
+    def test_second_call_site_brought_in_by_inlining(self):
+        """@main reaches @wrap only through @apply's pointer parameter, so
+        @main is inlined into before @wrap is.  Inlining @apply, then
+        @wrap, brings a second call to @big into @main."""
+        m = inline(big_callee("other") + big_callee() + """
+define internal i32 @wrap(i32 %x) {
+entry:
+  %r = call i32 @big(i32 %x)
+  ret i32 %r
+}
+
+define internal i32 @apply(ptr %f, i32 %x) {
+entry:
+  %r = call i32 %f(i32 %x)
+  ret i32 %r
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @other(i32 1)
+  %b = call i32 @apply(ptr @wrap, i32 %a)
+  ret i32 %b
+}
+""")
+        for callee in ("other", "apply", "wrap"):
+            assert calls_to(m, "main", callee) == 0
+        assert calls_to(m, "main", "big") == calls_to(m, "wrap", "big") == 1
+
+    def test_competing_reference_inlined_away(self):
+        """@drop ignores the pointer it is passed, so inlining it removes
+        the only address-taken reference to @big."""
+        m = inline(big_callee("other") + big_callee() + """
+define internal void @drop(ptr %f) {
+entry:
+  ret void
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @other(i32 1)
+  call void @drop(ptr @big)
+  %b = call i32 @big(i32 %a)
+  ret i32 %b
+}
+""")
+        assert calls_to(m, "main", "drop") == calls_to(m, "main", "big") == 0
+
+    def test_indirect_call_made_direct(self):
+        """Inlining @apply turns its call through a parameter into the
+        only, direct, call to @big, which is then inlined too."""
+        m = inline(big_callee("other") + big_callee() + """
+define internal i32 @apply(ptr %f, i32 %x) {
+entry:
+  %r = call i32 %f(i32 %x)
+  ret i32 %r
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @other(i32 1)
+  %b = call i32 @apply(ptr @big, i32 %a)
+  ret i32 %b
+}
+""")
+        assert calls_to(m, "main", "apply") == calls_to(m, "main", "big") == 0
