@@ -36,12 +36,14 @@ def promotable_allocas(fn: Function) -> List[AllocaInst]:
     ]
 
 
-def dominance_frontiers(fn: Function) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
-    """Each block's dominance frontier, as an insertion-ordered set."""
-    idom = compute_dominators(fn)
+def dominance_frontiers(
+    fn: Function, rpo: List[BasicBlock], idom: Dict[BasicBlock, Optional[BasicBlock]]
+) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
+    """Each block's dominance frontier, as an insertion-ordered set, from
+    the reverse postorder *rpo* and the idom map of *fn*."""
     preds = predecessor_map(fn)
     frontiers: Dict[BasicBlock, Dict[BasicBlock, None]] = {b: {} for b in fn.blocks}
-    for block in reachable_blocks(fn):
+    for block in rpo:
         if len(preds[block]) < 2:
             continue
         for pred in preds[block]:
@@ -62,9 +64,10 @@ class PromoteMem2Reg(FunctionPass):
         if not allocas:
             return False
 
+        rpo = reachable_blocks(fn)
         idom = compute_dominators(fn)
-        frontiers = dominance_frontiers(fn)
-        reachable = set(id(b) for b in reachable_blocks(fn))
+        frontiers = dominance_frontiers(fn, rpo, idom)
+        reachable = set(id(b) for b in rpo)
 
         # Dominator-tree children for the renaming walk.
         children: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
@@ -75,14 +78,17 @@ class PromoteMem2Reg(FunctionPass):
         # Phase 1: place phis at the iterated dominance frontier of defs.
         # Phis are named as they are placed, so the def blocks and every
         # frontier are insertion-ordered dicts: a set of blocks would
-        # iterate in memory-address order.
+        # iterate in memory-address order.  One scan finds every
+        # alloca's def blocks, each in store program order.
+        def_blocks_of: Dict[int, Dict[BasicBlock, None]] = {id(a): {} for a in allocas}
+        for inst in fn.instructions():
+            if isinstance(inst, StoreInst):
+                def_blocks = def_blocks_of.get(id(inst.pointer))
+                if def_blocks is not None:
+                    def_blocks[inst.parent] = None
         phi_owner: Dict[int, AllocaInst] = {}
         for alloca in allocas:
-            def_blocks = {
-                inst.parent: None
-                for inst in fn.instructions()
-                if isinstance(inst, StoreInst) and inst.pointer is alloca
-            }
+            def_blocks = def_blocks_of[id(alloca)]
             worklist = [b for b in def_blocks if id(b) in reachable]
             placed: Set[int] = set()
             while worklist:
@@ -123,10 +129,12 @@ class PromoteMem2Reg(FunctionPass):
                     current[id(inst.pointer)].append(inst.value)
                     pushed.append(id(inst.pointer))
                     inst.erase()
-            for succ in block.successors():
+            # Each block is renamed once, so the only incoming a placed
+            # phi can already have from it is through a repeated edge.
+            for succ in dict.fromkeys(block.successors()):
                 for phi in succ.phis():
                     owner = phi_owner.get(id(phi))
-                    if owner is not None and not any(b is block for _, b in phi.incoming):
+                    if owner is not None:
                         phi.add_incoming(value_of(owner), block)
             return pushed
 

@@ -8,6 +8,12 @@ limit in ``reachable_blocks`` (reached from ``verify_module``), and 1,000
 in mem2reg's renaming walk.  Rebuilding the predecessor map after each
 speculation, and scanning every terminator for each forwarding block,
 made simplifycfg quadratic in N.
+
+The same counting style pins two per-run scans: mem2reg finds every
+alloca's stores in one pass over its function, and the inliner answers
+every single-call-site question from counts taken in one pass over the
+module (it used to rescan the function per alloca, and the module per
+question).
 """
 
 import sys
@@ -16,13 +22,16 @@ import pytest
 
 import repro.ir.analysis as analysis
 import repro.ir.verifier as verifier
+import repro.opt.mem2reg as mem2reg
 import repro.opt.simplifycfg as simplifycfg
 from repro.core.engine import Odin
 from repro.frontend.codegen import compile_source
 from repro.ir.analysis import executable_blocks, reachable_blocks
-from repro.ir.module import BasicBlock
+from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.parser import parse_module
 from repro.ir.verifier import verify_module
 from repro.opt.cse import EarlyCSE
+from repro.opt.inline import FunctionInlining
 from repro.opt.mem2reg import PromoteMem2Reg
 from repro.opt.pass_manager import OptContext
 from repro.toolchain import build
@@ -168,3 +177,88 @@ def test_verifying_a_deep_chain_walks_no_idom_chain(monkeypatch):
     verify_module(module)
     assert len(module.get("main").blocks) > 2000
     assert _CountingIdom.lookups == 0
+
+
+def many_locals(n: int) -> str:
+    """``main`` with *n* locals, each stored on both arms of an ``if``,
+    so each one needs a phi."""
+    decls = "\n".join(f"    int v{i};" for i in range(n))
+    stores = "\n".join(
+        f"    v{i} = {i};\n    if (v{i} > {i % 7}) v{i} = v{i} - 1;" for i in range(n)
+    )
+    total = " + ".join(f"v{i}" for i in range(n))
+    return (
+        f"int main(void) {{\n{decls}\n{stores}\n"
+        f"    return ({total}) & 127;\n}}\n"
+    )
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_mem2reg_scans_the_function_a_fixed_number_of_times(monkeypatch, n):
+    """The def blocks of every alloca come from one scan, and the
+    dominators are computed once (the dominance frontiers reuse them)."""
+    module = compile_source(many_locals(n), "locals")
+    fn = module.get("main")
+    counts = {"scans": 0, "dominators": 0}
+    instructions = Function.instructions
+    dominators = mem2reg.compute_dominators
+
+    def counted_instructions(f):
+        counts["scans"] += 1
+        return instructions(f)
+
+    def counted_dominators(f):
+        counts["dominators"] += 1
+        return dominators(f)
+
+    monkeypatch.setattr(Function, "instructions", counted_instructions)
+    monkeypatch.setattr(mem2reg, "compute_dominators", counted_dominators)
+    ctx = OptContext()
+    assert mem2reg.PromoteMem2Reg().run_on_function(fn, module, ctx)
+    monkeypatch.undo()
+    verify_module(module)
+    assert ctx.stats["mem2reg.promoted"] == n
+    assert counts == {"scans": 2, "dominators": 1}
+
+
+def single_call_site_callees(n: int) -> str:
+    """*n* internal callees of 41 instructions, each called once, from
+    its own caller."""
+    adds = "\n".join(f"  %x{i} = add i32 %x, {i}" for i in range(40))
+    return "\n".join(
+        f"""
+define internal i32 @f{k}(i32 %x) {{
+entry:
+{adds}
+  ret i32 %x39
+}}
+
+define i32 @c{k}(i32 %x) {{
+entry:
+  %r = call i32 @f{k}(i32 %x)
+  ret i32 %r
+}}
+"""
+        for k in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_inliner_scans_the_module_a_fixed_number_of_times(monkeypatch, n):
+    """Each callee's single-call-site question is answered from counts
+    taken once per run (the call graph takes the other module scan)."""
+    module = parse_module(single_call_site_callees(n))
+    counts = {"scans": 0}
+    defined_functions = Module.defined_functions
+
+    def counted_defined_functions(m):
+        counts["scans"] += 1
+        return defined_functions(m)
+
+    monkeypatch.setattr(Module, "defined_functions", counted_defined_functions)
+    ctx = OptContext()
+    assert FunctionInlining().run(module, ctx)
+    monkeypatch.undo()
+    verify_module(module)
+    assert ctx.stats["inline.sites"] == n
+    assert counts == {"scans": 2}
