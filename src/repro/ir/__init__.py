@@ -12,9 +12,9 @@ Public surface:
 """
 
 from repro.ir.analysis import (
+    DominatorTree,
     bottom_up_sccs,
     call_graph,
-    compute_dominators,
     find_loops,
     predecessor_map,
     reachable_blocks,
@@ -84,6 +84,6 @@ __all__ = [
     "parse_module", "print_function", "print_module",
     "ClonedModule", "ValueMap", "clone_module", "extract_module",
     "verify_function", "verify_module",
-    "bottom_up_sccs", "call_graph", "compute_dominators", "find_loops",
+    "DominatorTree", "bottom_up_sccs", "call_graph", "find_loops",
     "predecessor_map", "reachable_blocks",
 ]

@@ -7,11 +7,14 @@ the optimizer (simplifycfg, loop unroll) and the verifier.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import itertools
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.ir.instructions import BranchInst, CallInst, SwitchInst
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import ConstantInt
+
+T = TypeVar("T")
 
 
 def _reverse_postorder(
@@ -88,41 +91,6 @@ def predecessor_map(fn: Function) -> Dict[BasicBlock, List[BasicBlock]]:
     return preds
 
 
-def compute_dominators(fn: Function) -> Dict[BasicBlock, Optional[BasicBlock]]:
-    """Immediate dominators via the classic Cooper-Harvey-Kennedy iteration.
-
-    Returns ``{block: idom}`` for reachable blocks; the entry maps to None.
-    """
-    rpo = reachable_blocks(fn)
-    index = {id(b): i for i, b in enumerate(rpo)}
-    preds = predecessor_map(fn)
-
-    idom: Dict[BasicBlock, Optional[BasicBlock]] = {fn.entry: None}
-
-    def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        while a is not b:
-            while index[id(a)] > index[id(b)]:
-                a = idom[a]
-            while index[id(b)] > index[id(a)]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for block in rpo[1:]:
-            candidates = [p for p in preds[block] if p in idom]
-            if not candidates:
-                continue
-            new_idom = candidates[0]
-            for p in candidates[1:]:
-                new_idom = intersect(new_idom, p)
-            if idom.get(block) is not new_idom:
-                idom[block] = new_idom
-                changed = True
-    return idom
-
-
 def dominates(
     idom: Dict[BasicBlock, Optional[BasicBlock]], a: BasicBlock, b: BasicBlock
 ) -> bool:
@@ -136,38 +104,111 @@ def dominates(
 
 
 class DominatorTree:
-    """Immediate dominators plus a depth-first pre/post numbering of
-    their tree, so each :meth:`dominates` query is O(1) instead of a walk
-    up the idom chain (quadratic over a deep CFG's many queries)."""
+    """Every dominance fact of one function, from one CFG walk and one
+    predecessor map.
+
+    * ``rpo``: the blocks reachable from the entry, in reverse postorder;
+    * ``preds``: :func:`predecessor_map` of the function;
+    * ``idom``: ``{block: idom}`` for the reachable blocks, the entry
+      mapping to None (Cooper-Harvey-Kennedy over ``rpo`` and ``preds``);
+    * ``children``: each block's children in the tree, in ``idom``
+      insertion order;
+    * :meth:`frontiers` and the scoped preorder :meth:`walk`;
+    * :meth:`dominates`, O(1) per query from a pre/post numbering of the
+      tree that the first query builds (a walk up the idom chain is
+      quadratic over a deep CFG's many queries).
+    """
 
     def __init__(self, fn: Function):
-        self.idom = compute_dominators(fn)
-        children: Dict[BasicBlock, List[BasicBlock]] = {}
-        for block, parent in self.idom.items():
+        self.rpo = rpo = reachable_blocks(fn)
+        self.preds = preds = predecessor_map(fn)
+        index = {id(b): i for i, b in enumerate(rpo)}
+        idom: Dict[BasicBlock, Optional[BasicBlock]] = {fn.entry: None}
+
+        def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
+            while a is not b:
+                while index[id(a)] > index[id(b)]:
+                    a = idom[a]
+                while index[id(b)] > index[id(a)]:
+                    b = idom[b]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for block in rpo[1:]:
+                candidates = [p for p in preds[block] if p in idom]
+                if not candidates:
+                    continue
+                new_idom = candidates[0]
+                for p in candidates[1:]:
+                    new_idom = intersect(new_idom, p)
+                if idom.get(block) is not new_idom:
+                    idom[block] = new_idom
+                    changed = True
+        self.idom = idom
+        self.children: Dict[BasicBlock, List[BasicBlock]] = {}
+        for block, parent in idom.items():
             if parent is not None:
-                children.setdefault(parent, []).append(block)
-        # block -> (preorder number, postorder number); a dominates b iff
-        # a's interval encloses b's.  An explicit stack, like the walks.
-        self._span: Dict[BasicBlock, Tuple[int, int]] = {}
-        pre = {fn.entry: 0}
-        clock = 1
-        stack = [(fn.entry, iter(children.get(fn.entry, ())))]
+                self.children.setdefault(parent, []).append(block)
+        self._span: Optional[Dict[BasicBlock, Tuple[int, int]]] = None
+
+    def frontiers(self) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
+        """Each reachable block's dominance frontier, as an
+        insertion-ordered set filled in reverse postorder."""
+        idom = self.idom
+        frontiers: Dict[BasicBlock, Dict[BasicBlock, None]] = {b: {} for b in self.rpo}
+        for block in self.rpo:
+            preds = self.preds[block]
+            if len(preds) < 2:
+                continue
+            for pred in preds:
+                if pred not in idom:
+                    continue  # unreachable predecessor
+                runner: Optional[BasicBlock] = pred
+                while runner is not None and runner is not idom[block]:
+                    frontiers[runner][block] = None
+                    runner = idom[runner]
+        return frontiers
+
+    def walk(self, enter: Callable[[BasicBlock], T], leave: Callable[[T], None]) -> None:
+        """Preorder over the tree from the entry, children in list order:
+        ``leave(enter(block))`` runs once *block*'s whole subtree is
+        walked.  An explicit stack, so trees of any depth fit."""
+        children = self.children
+        entry = self.rpo[0]
+        stack = [(enter(entry), iter(children.get(entry, ())))]
         while stack:
-            block, pending = stack[-1]
+            scope, pending = stack[-1]
             child = next(pending, None)
             if child is None:
                 stack.pop()
-                self._span[block] = (pre[block], clock)
+                leave(scope)
             else:
-                pre[child] = clock
-                stack.append((child, iter(children.get(child, ()))))
-            clock += 1
+                stack.append((enter(child), iter(children.get(child, ()))))
+
+    def _numbering(self) -> Dict[BasicBlock, Tuple[int, int]]:
+        """``{block: (pre, post)}``: *a* dominates *b* iff *a*'s interval
+        encloses *b*'s."""
+        span: Dict[BasicBlock, Tuple[int, int]] = {}
+        clock = itertools.count()
+
+        def enter(block: BasicBlock) -> Tuple[BasicBlock, int]:
+            return block, next(clock)
+
+        def leave(scope: Tuple[BasicBlock, int]) -> None:
+            span[scope[0]] = (scope[1], next(clock))
+
+        self.walk(enter, leave)
+        return span
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Whether *a* dominates *b*; an unreachable block dominates
         only itself, as under :func:`dominates`."""
         if a is b:
             return True
+        if self._span is None:
+            self._span = self._numbering()
         span_a = self._span.get(a)
         span_b = self._span.get(b)
         if span_a is None or span_b is None:
@@ -190,23 +231,21 @@ class NaturalLoop:
 def find_loops(fn: Function) -> List[NaturalLoop]:
     """Find natural loops from back edges (latch -> header with header dom latch)."""
     dom = DominatorTree(fn)
-    preds = predecessor_map(fn)
-    reachable = set(reachable_blocks(fn))
     loops: List[NaturalLoop] = []
-    for block in reachable_blocks(fn):
+    for block in dom.rpo:
         for succ in block.successors():
-            if succ in dom.idom and dom.dominates(succ, block):
+            if dom.dominates(succ, block):
                 body: Set[BasicBlock] = {succ, block}
                 stack = [block]
                 while stack:
                     node = stack.pop()
                     if node is succ:
                         continue
-                    for pred in preds[node]:
+                    for pred in dom.preds[node]:
                         # An unreachable predecessor can never execute;
                         # letting it leak into the body would poison
                         # loop-local transforms (e.g. unroll cloning).
-                        if pred not in body and pred in reachable:
+                        if pred not in body and pred in dom.idom:
                             body.add(pred)
                             stack.append(pred)
                 loops.append(NaturalLoop(succ, body, block))

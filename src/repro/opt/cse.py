@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.analysis import compute_dominators
+from repro.ir.analysis import DominatorTree
 from repro.ir.instructions import (
     BinaryInst,
     CastInst,
@@ -65,27 +65,15 @@ class EarlyCSE(FunctionPass):
     name = "early-cse"
 
     def run_on_function(self, fn: Function, module: Module, ctx: OptContext) -> bool:
-        idom = compute_dominators(fn)
-        children: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
-        for block, parent in idom.items():
-            if parent is not None:
-                children[parent].append(block)
-
-        # Preorder over the dominator tree with an explicit stack (deep
-        # CFGs would overflow recursion).  A block sees the expressions of
-        # its dominators: its own entries are dropped from the scoped
-        # table once its whole subtree is walked.
+        # A block sees the expressions of its dominators: its own entries
+        # leave the scoped table once its whole subtree is walked.
         changed = False
         table: Dict[Tuple, Instruction] = {}
-        walk: List = [fn.entry]
-        while walk:
-            item = walk.pop()
-            if not isinstance(item, BasicBlock):
-                for key in item:
-                    del table[key]
-                continue
+
+        def enter(block: BasicBlock) -> List[Tuple]:
+            nonlocal changed
             added: List[Tuple] = []
-            for inst in list(item.instructions):
+            for inst in list(block.instructions):
                 key = _key(inst)
                 if key is None:
                     continue
@@ -98,6 +86,11 @@ class EarlyCSE(FunctionPass):
                 else:
                     table[key] = inst
                     added.append(key)
-            walk.append(added)
-            walk.extend(reversed(children.get(item, ())))
+            return added
+
+        def leave(added: List[Tuple]) -> None:
+            for key in added:
+                del table[key]
+
+        DominatorTree(fn).walk(enter, leave)
         return changed

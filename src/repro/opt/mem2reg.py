@@ -12,13 +12,14 @@ direct load or a store *to* it (its address never escapes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.ir.analysis import compute_dominators, predecessor_map, reachable_blocks
-from repro.ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst, StoreInst
+from repro.ir.analysis import DominatorTree
+from repro.ir.instructions import AllocaInst, LoadInst, PhiInst, StoreInst
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import UndefValue, Value
 from repro.opt.pass_manager import FunctionPass, OptContext
+from repro.opt.simplifycfg import remove_unreachable_blocks
 
 
 def promotable_allocas(fn: Function) -> List[AllocaInst]:
@@ -36,26 +37,6 @@ def promotable_allocas(fn: Function) -> List[AllocaInst]:
     ]
 
 
-def dominance_frontiers(
-    fn: Function, rpo: List[BasicBlock], idom: Dict[BasicBlock, Optional[BasicBlock]]
-) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
-    """Each block's dominance frontier, as an insertion-ordered set, from
-    the reverse postorder *rpo* and the idom map of *fn*."""
-    preds = predecessor_map(fn)
-    frontiers: Dict[BasicBlock, Dict[BasicBlock, None]] = {b: {} for b in fn.blocks}
-    for block in rpo:
-        if len(preds[block]) < 2:
-            continue
-        for pred in preds[block]:
-            if pred not in idom:
-                continue  # unreachable predecessor
-            runner: Optional[BasicBlock] = pred
-            while runner is not None and runner is not idom.get(block):
-                frontiers[runner][block] = None
-                runner = idom.get(runner)
-    return frontiers
-
-
 class PromoteMem2Reg(FunctionPass):
     name = "mem2reg"
 
@@ -64,16 +45,8 @@ class PromoteMem2Reg(FunctionPass):
         if not allocas:
             return False
 
-        rpo = reachable_blocks(fn)
-        idom = compute_dominators(fn)
-        frontiers = dominance_frontiers(fn, rpo, idom)
-        reachable = set(id(b) for b in rpo)
-
-        # Dominator-tree children for the renaming walk.
-        children: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
-        for block, parent in idom.items():
-            if parent is not None:
-                children[parent].append(block)
+        dom = DominatorTree(fn)
+        frontiers = dom.frontiers()
 
         # Phase 1: place phis at the iterated dominance frontier of defs.
         # Phis are named as they are placed, so the def blocks and every
@@ -89,7 +62,7 @@ class PromoteMem2Reg(FunctionPass):
         phi_owner: Dict[int, AllocaInst] = {}
         for alloca in allocas:
             def_blocks = def_blocks_of[id(alloca)]
-            worklist = [b for b in def_blocks if id(b) in reachable]
+            worklist = [b for b in def_blocks if b in dom.idom]
             placed: Set[int] = set()
             while worklist:
                 block = worklist.pop()
@@ -115,7 +88,8 @@ class PromoteMem2Reg(FunctionPass):
             return stack[-1] if stack else UndefValue(alloca.allocated_type)
 
         def rename(block: BasicBlock) -> List[int]:
-            """Rename *block*; returns the allocas it pushed values for."""
+            """Rename *block*; returns the allocas it pushed values for,
+            whose values are popped once its whole subtree is renamed."""
             pushed: List[int] = []
             for inst in list(block.instructions):
                 if isinstance(inst, PhiInst) and id(inst) in phi_owner:
@@ -138,32 +112,16 @@ class PromoteMem2Reg(FunctionPass):
                         phi.add_incoming(value_of(owner), block)
             return pushed
 
-        # Preorder over the dominator tree with an explicit stack (deep
-        # CFGs would overflow recursion): a block's pushes are popped once
-        # its whole subtree is renamed.
-        walk: List = [fn.entry]
-        while walk:
-            item = walk.pop()
-            if isinstance(item, BasicBlock):
-                walk.append(rename(item))
-                walk.extend(reversed(children.get(item, ())))
-            else:
-                for key in item:
-                    current[key].pop()
+        def unwind(pushed: List[int]) -> None:
+            for key in pushed:
+                current[key].pop()
+
+        dom.walk(rename, unwind)
 
         # Phase 3: drop the allocas (and any code left in unreachable blocks
         # that still mentions them is removed with those blocks).
-        self._remove_unreachable_blocks(fn, reachable)
+        remove_unreachable_blocks(fn, dom.idom)
         for alloca in allocas:
             alloca.erase()
             ctx.count("mem2reg.promoted")
         return True
-
-    @staticmethod
-    def _remove_unreachable_blocks(fn: Function, reachable: Set[int]) -> None:
-        for block in list(fn.blocks):
-            if id(block) not in reachable:
-                for succ in block.successors():
-                    for phi in succ.phis():
-                        phi.remove_incoming(block)
-                fn.remove_block(block)

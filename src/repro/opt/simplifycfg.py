@@ -18,7 +18,7 @@ Rewrites, iterated to a fixpoint:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Container, Dict, List, Set
 
 from repro.ir.analysis import predecessor_map, reachable_blocks
 from repro.ir.builder import IRBuilder
@@ -63,6 +63,19 @@ def _speculatable(block: BasicBlock) -> bool:
     return True
 
 
+def remove_unreachable_blocks(fn: Function, live: Container[BasicBlock]) -> int:
+    """Delete every block of *fn* not in *live*, with the phi incomings
+    it gave live blocks; returns how many blocks went."""
+    dead = [b for b in fn.blocks if b not in live]
+    for block in dead:
+        for succ in block.successors():
+            if succ in live:
+                for phi in succ.phis():
+                    phi.remove_incoming(block)
+        fn.remove_block(block)
+    return len(dead)
+
+
 class SimplifyCFG(FunctionPass):
     name = "simplifycfg"
 
@@ -83,18 +96,10 @@ class SimplifyCFG(FunctionPass):
 
     @staticmethod
     def _remove_unreachable(fn: Function, ctx: OptContext) -> bool:
-        live: Set[int] = {id(b) for b in reachable_blocks(fn)}
-        dead = [b for b in fn.blocks if id(b) not in live]
-        if not dead:
-            return False
-        for block in dead:
-            for succ in block.successors():
-                if id(succ) in live:
-                    for phi in succ.phis():
-                        phi.remove_incoming(block)
-            fn.remove_block(block)
-            ctx.count("simplifycfg.unreachable_removed")
-        return True
+        removed = remove_unreachable_blocks(fn, set(reachable_blocks(fn)))
+        if removed:
+            ctx.count("simplifycfg.unreachable_removed", removed)
+        return bool(removed)
 
     # -- 2: constant branches ---------------------------------------------------
 

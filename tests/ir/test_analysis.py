@@ -6,7 +6,6 @@ from repro.ir.analysis import (
     DominatorTree,
     bottom_up_sccs,
     call_graph,
-    compute_dominators,
     dominates,
     executable_blocks,
     feasible_successors,
@@ -72,7 +71,7 @@ class TestReachability:
 class TestDominators:
     def test_diamond_idoms(self):
         fn = parse_module(DIAMOND).get("f")
-        idom = compute_dominators(fn)
+        idom = DominatorTree(fn).idom
         by_name = {b.name: b for b in fn.blocks}
         assert idom[by_name["entry"]] is None
         assert idom[by_name["left"]].name == "entry"
@@ -81,7 +80,7 @@ class TestDominators:
 
     def test_dominates_reflexive_and_transitive(self):
         fn = parse_module(LOOP).get("f")
-        idom = compute_dominators(fn)
+        idom = DominatorTree(fn).idom
         by_name = {b.name: b for b in fn.blocks}
         assert dominates(idom, by_name["entry"], by_name["exit"])
         assert dominates(idom, by_name["header"], by_name["latch"])
@@ -93,7 +92,6 @@ class TestDominatorTree:
     def test_numbering_answers_like_the_idom_walk(self):
         fn = parse_module(LOOP).get("f")
         tree = DominatorTree(fn)
-        assert tree.idom == compute_dominators(fn)
         for a in fn.blocks:
             for b in fn.blocks:
                 assert tree.dominates(a, b) == dominates(tree.idom, a, b)
@@ -110,6 +108,43 @@ class TestDominatorTree:
         assert tree.dominates(dead, dead)
         assert not tree.dominates(entry, dead)
         assert not tree.dominates(dead, entry)
+
+    def test_diamond_frontiers(self):
+        fn = parse_module(DIAMOND).get("f")
+        frontiers = DominatorTree(fn).frontiers()
+        assert {b.name: [f.name for f in frontiers[b]] for b in fn.blocks} == {
+            "entry": [], "left": ["join"], "right": ["join"], "join": [],
+        }
+
+    def test_loop_frontiers(self):
+        fn = parse_module(LOOP).get("f")
+        frontiers = DominatorTree(fn).frontiers()
+        assert {b.name: [f.name for f in frontiers[b]] for b in fn.blocks} == {
+            "entry": [], "header": ["header"], "latch": ["header"], "exit": [],
+        }
+
+    def test_frontiers_fill_in_reverse_postorder(self):
+        fn = parse_module(IRREDUCIBLE).get("f")
+        tree = DominatorTree(fn)
+        assert [b.name for b in tree.rpo] == ["entry", "a", "b", "exit"]
+        frontiers = tree.frontiers()
+        by_name = {b.name: b for b in fn.blocks}
+        assert [b.name for b in frontiers[by_name["a"]]] == ["b", "exit"]
+        assert [b.name for b in frontiers[by_name["b"]]] == ["a", "exit"]
+
+    def test_walk_is_a_scoped_preorder(self):
+        fn = parse_module(DIAMOND).get("f")
+        tree = DominatorTree(fn)
+        events = []
+        tree.walk(
+            lambda block: events.append(f"+{block.name}") or block.name,
+            lambda name: events.append(f"-{name}"),
+        )
+        assert [b.name for b in tree.children[fn.entry]] == ["right", "left", "join"]
+        assert events == [
+            "+entry", "+right", "-right", "+left", "-left", "+join", "-join",
+            "-entry",
+        ]
 
     @pytest.mark.parametrize("program", program_names())
     def test_numbering_agrees_with_the_walk_on_every_program(self, program):
@@ -163,7 +198,7 @@ exit:
 class TestIrregularCFGs:
     def test_irreducible_idoms_collapse_to_entry(self):
         fn = parse_module(IRREDUCIBLE).get("f")
-        idom = compute_dominators(fn)
+        idom = DominatorTree(fn).idom
         by_name = {b.name: b for b in fn.blocks}
         assert idom[by_name["a"]].name == "entry"
         assert idom[by_name["b"]].name == "entry"
@@ -189,7 +224,7 @@ dead:
 }
 """
         ).get("f")
-        idom = compute_dominators(fn)
+        idom = DominatorTree(fn).idom
         by_name = {b.name: b for b in fn.blocks}
         assert idom[by_name["join"]].name == "entry"
         assert by_name["dead"] not in idom

@@ -13,7 +13,10 @@ The same counting style pins two per-run scans: mem2reg finds every
 alloca's stores in one pass over its function, and the inliner answers
 every single-call-site question from counts taken in one pass over the
 module (it used to rescan the function per alloca, and the module per
-question).
+question).  It also pins the dominator tree as the one source of
+dominance facts: mem2reg and ``find_loops`` each walk the CFG and build
+a predecessor map once, inside their tree, and the pre/post numbering
+is built only for a pass that asks a dominance query.
 """
 
 import sys
@@ -21,7 +24,6 @@ import sys
 import pytest
 
 import repro.ir.analysis as analysis
-import repro.ir.verifier as verifier
 import repro.opt.mem2reg as mem2reg
 import repro.opt.simplifycfg as simplifycfg
 from repro.core.engine import Odin
@@ -168,15 +170,67 @@ def test_verifying_a_deep_chain_walks_no_idom_chain(monkeypatch):
     verifier that walked the idom chain per use was quadratic; the
     dominator tree's numbering answers each use without a walk."""
     module = compile_source(if_chain(1000), "deep")
-    real = analysis.compute_dominators
-    counting = lambda fn: _CountingIdom(real(fn))  # noqa: E731
-    monkeypatch.setattr(analysis, "compute_dominators", counting)
-    # A verifier that imported the function by name would call this one.
-    monkeypatch.setattr(verifier, "compute_dominators", counting, raising=False)
+    trees = []
+    build_tree = analysis.DominatorTree.__init__
+
+    def counting_tree(tree, fn):
+        build_tree(tree, fn)
+        tree.idom = _CountingIdom(tree.idom)
+        trees.append(fn)
+
+    monkeypatch.setattr(analysis.DominatorTree, "__init__", counting_tree)
     monkeypatch.setattr(_CountingIdom, "lookups", 0)
     verify_module(module)
     assert len(module.get("main").blocks) > 2000
+    # The verifier's own tree carried the counting map.
+    assert trees == list(module.defined_functions())
     assert _CountingIdom.lookups == 0
+
+
+def _counted(counts, key, real):
+    def counted(*args):
+        counts[key] += 1
+        return real(*args)
+
+    return counted
+
+
+def _count_cfg_walks(monkeypatch, counts, *modules):
+    """Count ``reachable_blocks`` and ``predecessor_map`` calls as
+    "walks" and "maps", also through a module that imported them."""
+    walk, build_map = analysis.reachable_blocks, analysis.predecessor_map
+    for module in (analysis, *modules):
+        monkeypatch.setattr(module, "reachable_blocks",
+                            _counted(counts, "walks", walk), raising=False)
+        monkeypatch.setattr(module, "predecessor_map",
+                            _counted(counts, "maps", build_map), raising=False)
+
+
+def loop_nest(n: int) -> str:
+    """``main`` with *n* sequential two-deep loop nests."""
+    body = "\n".join(
+        f"    for (i = 0; i < {i + 2}; i = i + 1)\n"
+        f"        for (j = 0; j < 3; j = j + 1) x = x + i * j;"
+        for i in range(n)
+    )
+    return (
+        "int main(void) {\n    int i;\n    int j;\n    int x;\n    x = 1;\n"
+        f"{body}\n    return x & 127;\n}}\n"
+    )
+
+
+def test_find_loops_walks_the_cfg_once_per_call(monkeypatch):
+    """Its dominator tree's walk and map also give the blocks to scan
+    and the loop bodies' predecessors."""
+    module = compile_source(loop_nest(5), "loops")
+    fn = module.get("main")
+    PromoteMem2Reg().run_on_function(fn, module, OptContext())
+    counts = {"walks": 0, "maps": 0}
+    _count_cfg_walks(monkeypatch, counts)
+    loops = analysis.find_loops(fn)
+    monkeypatch.undo()
+    assert len(loops) == 10
+    assert counts == {"walks": 1, "maps": 1}
 
 
 def many_locals(n: int) -> str:
@@ -195,30 +249,39 @@ def many_locals(n: int) -> str:
 
 @pytest.mark.parametrize("n", [20, 200])
 def test_mem2reg_scans_the_function_a_fixed_number_of_times(monkeypatch, n):
-    """The def blocks of every alloca come from one scan, and the
-    dominators are computed once (the dominance frontiers reuse them)."""
+    """The def blocks of every alloca come from one scan, and one
+    dominator tree, with one CFG walk and one predecessor map, gives the
+    frontiers, the renaming walk and the blocks to delete."""
     module = compile_source(many_locals(n), "locals")
     fn = module.get("main")
-    counts = {"scans": 0, "dominators": 0}
-    instructions = Function.instructions
-    dominators = mem2reg.compute_dominators
-
-    def counted_instructions(f):
-        counts["scans"] += 1
-        return instructions(f)
-
-    def counted_dominators(f):
-        counts["dominators"] += 1
-        return dominators(f)
-
-    monkeypatch.setattr(Function, "instructions", counted_instructions)
-    monkeypatch.setattr(mem2reg, "compute_dominators", counted_dominators)
+    counts = {"scans": 0, "trees": 0, "walks": 0, "maps": 0}
+    monkeypatch.setattr(Function, "instructions",
+                        _counted(counts, "scans", Function.instructions))
+    monkeypatch.setattr(analysis.DominatorTree, "__init__",
+                        _counted(counts, "trees", analysis.DominatorTree.__init__))
+    _count_cfg_walks(monkeypatch, counts, mem2reg)
     ctx = OptContext()
     assert mem2reg.PromoteMem2Reg().run_on_function(fn, module, ctx)
     monkeypatch.undo()
     verify_module(module)
     assert ctx.stats["mem2reg.promoted"] == n
-    assert counts == {"scans": 2, "dominators": 1}
+    assert counts == {"scans": 2, "trees": 1, "walks": 1, "maps": 1}
+
+
+def test_cse_and_mem2reg_never_number_the_tree(monkeypatch):
+    """Neither pass asks a dominance query, so neither pays for the
+    numbering behind one; the verifier does ask."""
+    module = compile_source(if_chain(50), "chain")
+    fn = module.get("main")
+    counts = {"numberings": 0}
+    monkeypatch.setattr(analysis.DominatorTree, "_numbering", _counted(
+        counts, "numberings", analysis.DominatorTree._numbering))
+    ctx = OptContext()
+    assert PromoteMem2Reg().run_on_function(fn, module, ctx)
+    assert EarlyCSE().run_on_function(fn, module, ctx)
+    assert counts == {"numberings": 0}
+    verify_module(module)
+    assert counts == {"numberings": 1}
 
 
 def single_call_site_callees(n: int) -> str:
