@@ -16,7 +16,7 @@ requirement for the partitioner.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.analysis import bottom_up_sccs, reachable_blocks
 from repro.ir.builder import IRBuilder, split_block
@@ -129,15 +129,23 @@ class FunctionInlining(Pass):
     ) -> bool:
         changed = False
         progress = True
+        # Inline history, as LLVM's inliner keeps: each call cloned into
+        # the caller maps to the callees whose bodies it came from, and
+        # none of them is inlined into it again, or a recursive callee
+        # would be inlined without end.  Keyed by the call itself, which
+        # the map keeps alive, so an erased call's id() cannot come back.
+        history: Dict[CallInst, FrozenSet[Function]] = {}
         while progress:
             progress = False
             for inst in caller.instructions():
                 callee = self._inlinable_callee(inst, caller, scc_of, call_sites)
-                if callee is None:
+                if callee is None or callee in history.get(inst, ()):
                     continue
                 ctx.log_requirement(REQ_BOND, callee.name, caller.name, self.name)
                 ctx.charge(callee.count_instructions())
-                inline_call_site(inst, callee)
+                cloned_from = history.pop(inst, frozenset()) | {callee}
+                for clone in inline_call_site(inst, callee):
+                    history[clone] = cloned_from
                 call_sites.recount(caller)
                 ctx.count("inline.sites")
                 progress = changed = True
@@ -171,8 +179,9 @@ class FunctionInlining(Pass):
         return None
 
 
-def inline_call_site(call: CallInst, callee: Function) -> None:
-    """Inline *callee* at *call*; the call instruction is destroyed."""
+def inline_call_site(call: CallInst, callee: Function) -> List[CallInst]:
+    """Inline *callee* at *call*; the call instruction is destroyed.
+    Returns the calls cloned from the callee's body."""
     caller = call.function
     block = call.parent
 
@@ -191,6 +200,7 @@ def inline_call_site(call: CallInst, callee: Function) -> None:
 
     returns: List[Tuple[Optional[object], BasicBlock]] = []
     phi_fixups = []
+    calls: List[CallInst] = []
     for cb in order:
         nb = vmap.get_block(cb)
         for inst in cb.instructions:
@@ -207,6 +217,8 @@ def inline_call_site(call: CallInst, callee: Function) -> None:
             vmap.put(inst, clone)
             if isinstance(inst, PhiInst):
                 phi_fixups.append(inst)
+            elif isinstance(clone, CallInst):
+                calls.append(clone)
     for phi in phi_fixups:
         clone = vmap.get(phi)
         for value, pred in phi.incoming:
@@ -247,3 +259,4 @@ def inline_call_site(call: CallInst, callee: Function) -> None:
         for phi in tail.phis():
             if any(b is block for _, b in phi.incoming):
                 phi.replace_incoming_block(block, returns[0][1])
+    return calls

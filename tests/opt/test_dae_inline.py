@@ -3,13 +3,20 @@ interprocedural passes whose requirements drive the partitioner (§2.3)."""
 
 import pytest
 
+import repro.opt.inline as inline_pass
+from repro.backend.isel import lower_module
+from repro.core.engine import Odin
+from repro.frontend.codegen import compile_source
 from repro.ir.instructions import CallInst
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
+from repro.linker.linker import link
 from repro.opt.dae import DeadArgumentElimination
 from repro.opt.inline import FunctionInlining
 from repro.opt.pass_manager import OptContext, REQ_BOND
+from repro.opt.pipeline import optimize
+from repro.vm.interpreter import VM
 
 FIG4 = """
 define internal void @neg(i32 %unused) {
@@ -455,3 +462,152 @@ entry:
 }
 """)
         assert calls_to(m, "main", "apply") == calls_to(m, "main", "big") == 0
+
+
+FACT = (
+    "int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }\n"
+    "int main(void) { return fact(5) & 127; }\n"
+)
+
+# @d reaches itself only through @apply's pointer parameter, so it is not
+# recursive in the call graph until inlining @apply makes the call direct.
+SELF_BY_POINTER = """
+define internal i32 @apply(ptr %f, i32 %x) {
+entry:
+  %r = call i32 %f(i32 %x)
+  ret i32 %r
+}
+
+define i32 @d(i32 %n) {
+entry:
+  %c = icmp sle i32 %n, 0
+  br i1 %c, label %base, label %rec
+base:
+  ret i32 0
+rec:
+  %m = sub i32 %n, 1
+  %r = call i32 @apply(ptr @d, i32 %m)
+  %s = add i32 %r, 1
+  ret i32 %s
+}
+
+define i32 @main() {
+entry:
+  %r = call i32 @d(i32 5)
+  ret i32 %r
+}
+"""
+
+
+# @even and @odd call each other: inlining @even into @main brings in a
+# call to @odd, and inlining that brings in a call to @even, which came
+# from @even's body through a clone of a clone.
+MUTUAL = """
+define internal i32 @even(i32 %n) {
+entry:
+  %z = icmp eq i32 %n, 0
+  br i1 %z, label %yes, label %rec
+yes:
+  ret i32 1
+rec:
+  %m = sub i32 %n, 1
+  %r = call i32 @odd(i32 %m)
+  ret i32 %r
+}
+
+define internal i32 @odd(i32 %n) {
+entry:
+  %z = icmp eq i32 %n, 0
+  br i1 %z, label %no, label %rec
+no:
+  ret i32 0
+rec:
+  %m = sub i32 %n, 1
+  %r = call i32 @even(i32 %m)
+  ret i32 %r
+}
+
+define i32 @main() {
+entry:
+  %a = call i32 @even(i32 10)
+  %b = call i32 @odd(i32 7)
+  %b2 = mul i32 %b, 2
+  %s = add i32 %a, %b2
+  ret i32 %s
+}
+"""
+
+
+def run_main(module) -> int:
+    result = VM(link([lower_module(module)])).run("main")
+    assert result.trap is None
+    return result.exit_code
+
+
+class TestRecursionThroughInlining:
+    """A call cloned from a callee's body, directly or through earlier
+    clones, never gets that callee inlined into it: without the history,
+    -O2 inlined a recursive callee into its caller without end."""
+
+    @pytest.fixture(autouse=True)
+    def bounded_inlining(self, monkeypatch):
+        """Fail fast instead of hanging if the inliner runs away."""
+        inline_call_site = inline_pass.inline_call_site
+        inlines = []
+
+        def bounded(call, callee):
+            inlines.append(callee.name)
+            if len(inlines) > 100:
+                raise AssertionError(f"runaway inlining: {inlines[-5:]}")
+            return inline_call_site(call, callee)
+
+        monkeypatch.setattr(inline_pass, "inline_call_site", bounded)
+        return inlines
+
+    def test_recursive_callee_at_o2_returns_what_o0_returns(self, bounded_inlining):
+        module = compile_source(FACT, "fact")
+        optimize(module, 2)
+        verify_module(module)
+        assert "fact" in bounded_inlining
+        assert run_main(module) == run_main(compile_source(FACT, "fact")) == 120
+
+    def test_odin_builds_a_recursive_callee(self, bounded_inlining):
+        engine = Odin(compile_source(FACT, "fact"))
+        engine.initial_build()
+        assert bounded_inlining
+        assert VM(engine.executable).run("main").exit_code == 120
+
+    @pytest.mark.parametrize("source, result", [
+        (SELF_BY_POINTER, 5), (MUTUAL, 3),
+    ], ids=["self-by-pointer", "mutual"])
+    def test_ir_recursion_at_o2_returns_what_o0_returns(
+        self, bounded_inlining, source, result
+    ):
+        module = parse_module(source)
+        optimize(module, 2)
+        verify_module(module)
+        assert bounded_inlining
+        assert run_main(module) == run_main(parse_module(source)) == result
+
+    def test_one_run_leaves_the_call_made_self_recursive(self):
+        """Inlining @apply into @d brings in a direct self-call, left
+        alone, and inlining @d into @main brings in a copy of it, which
+        came from @d's body."""
+        module = parse_module(SELF_BY_POINTER)
+        ctx = OptContext()
+        assert FunctionInlining().run(module, ctx)
+        verify_module(module)
+        assert ctx.stats["inline.sites"] == 2
+        assert calls_to(module, "d", "d") == calls_to(module, "main", "d") == 1
+        assert calls_to(module, "d", "apply") == calls_to(module, "main", "apply") == 0
+
+    def test_one_run_follows_clones_of_clones(self):
+        """Each of @main's calls is inlined, then the call to the other
+        function that it brings in; the call that comes back, cloned
+        from a clone, is left alone."""
+        module = parse_module(MUTUAL)
+        ctx = OptContext()
+        assert FunctionInlining().run(module, ctx)
+        verify_module(module)
+        assert ctx.stats["inline.sites"] == 4
+        assert calls_to(module, "main", "even") == calls_to(module, "main", "odd") == 1
