@@ -170,12 +170,8 @@ class PassManager:
         return changed
 
     def run(self, module: Module, ctx: Optional[OptContext] = None) -> OptContext:
-        ctx = ctx or OptContext()
-        sanitizer = self._make_sanitizer(module)
-        for p in self.passes:
-            self._run_pass(p, module, ctx, 0)
-            self._after_pass(module, p, ctx, sanitizer)
-        return ctx
+        """Run the pipeline once."""
+        return self.run_until_fixpoint(module, ctx, max_iters=1)
 
     def run_until_fixpoint(
         self, module: Module, ctx: Optional[OptContext] = None,
