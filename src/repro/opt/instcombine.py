@@ -47,6 +47,22 @@ def _const(value: Value) -> Optional[ConstantInt]:
     return value if isinstance(value, ConstantInt) else None
 
 
+def _constant_to_the_right(inst: Instruction) -> bool:
+    """Canonicalize a commutative binary op or an icmp whose only
+    constant operand is on the left; returns whether it swapped."""
+    if not (isinstance(inst, IcmpInst) or (
+        isinstance(inst, BinaryInst) and inst.is_commutative()
+    )):
+        return False
+    lhs, rhs = inst.operands[0], inst.operands[1]
+    if _const(lhs) is None or _const(rhs) is not None:
+        return False
+    inst.operands[0], inst.operands[1] = rhs, lhs
+    if isinstance(inst, IcmpInst):
+        inst.predicate = SWAPPED_PREDICATE[inst.predicate]
+    return True
+
+
 class InstCombine(FunctionPass):
     name = "instcombine"
 
@@ -59,6 +75,9 @@ class InstCombine(FunctionPass):
                 for inst in list(block.instructions):
                     if inst.parent is None:
                         continue  # erased by an earlier rewrite this sweep
+                    # A swap changes the function, though it gives this
+                    # sweep nothing new to do.
+                    changed |= _constant_to_the_right(inst)
                     replacement = self._simplify(inst, fn, module, ctx)
                     if replacement is not None:
                         fn.replace_all_uses(inst, replacement)
@@ -101,12 +120,6 @@ class InstCombine(FunctionPass):
                 return ConstantInt(type_, eval_binary(inst.opcode, type_, cl.value, cr.value))
             except ZeroDivisionError:
                 return None  # leave the trap to runtime
-
-        # Canonicalize constants to the right for commutative ops.
-        if cl is not None and cr is None and inst.is_commutative():
-            inst.operands[0], inst.operands[1] = rhs, lhs
-            lhs, rhs = inst.lhs, inst.rhs
-            cl, cr = None, cl
 
         op = inst.opcode
         if cr is not None:
@@ -205,11 +218,6 @@ class InstCombine(FunctionPass):
         if cl is not None and cr is not None:
             result = eval_icmp(inst.predicate, inst.lhs.type, cl.value, cr.value)
             return TRUE if result else FALSE
-        # Canonicalize: constant to the right.
-        if cl is not None and cr is None:
-            inst.operands[0], inst.operands[1] = inst.rhs, inst.lhs
-            inst.predicate = SWAPPED_PREDICATE[inst.predicate]
-            return None
         if inst.lhs is inst.rhs:
             always_true = inst.predicate in ("eq", "sle", "sge", "ule", "uge")
             return TRUE if always_true else FALSE
