@@ -24,7 +24,7 @@ from repro.ir.clone import ValueMap, clone_instruction
 from repro.ir.instructions import CallInst, PhiInst, RetInst
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import UndefValue
-from repro.opt.pass_manager import OptContext, Pass, REQ_BOND
+from repro.opt.pass_manager import OptContext, Pass, REQ_BOND, RunRecord
 
 # A callee bigger than this is never inlined.
 INLINE_THRESHOLD = 40
@@ -107,6 +107,9 @@ class FunctionInlining(Pass):
     name = "inline"
 
     def run(self, module: Module, ctx: OptContext) -> bool:
+        return self.run_in(module, ctx, RunRecord())
+
+    def run_in(self, module: Module, ctx: OptContext, record: RunRecord) -> bool:
         changed = False
         sccs = bottom_up_sccs(module)
         scc_of: Dict[str, int] = {}
@@ -120,21 +123,24 @@ class FunctionInlining(Pass):
                 caller = module.get_or_none(caller_name)
                 if not isinstance(caller, Function) or caller.is_declaration():
                     continue
-                changed |= self._inline_calls_in(caller, scc_of, call_sites, ctx)
+                changed |= self._inline_calls_in(
+                    caller, scc_of, call_sites, record.inline_history, ctx
+                )
         return changed
 
     def _inline_calls_in(
         self, caller: Function, scc_of: Dict[str, int], call_sites: CallSiteIndex,
-        ctx: OptContext,
+        history: Dict[CallInst, FrozenSet[Function]], ctx: OptContext,
     ) -> bool:
         changed = False
         progress = True
-        # Inline history, as LLVM's inliner keeps: each call cloned into
-        # the caller maps to the callees whose bodies it came from, and
+        # Inline history, as LLVM's inliner keeps: each cloned call maps
+        # to the callees whose bodies it came from, and
         # none of them is inlined into it again, or a recursive callee
-        # would be inlined without end.  Keyed by the call itself, which
-        # the map keeps alive, so an erased call's id() cannot come back.
-        history: Dict[CallInst, FrozenSet[Function]] = {}
+        # would be inlined without end.  It lasts the whole fixpoint run,
+        # or a recursion would unroll one level deeper per iteration.
+        # Keyed by the call itself, which the map keeps alive, so an
+        # erased call's id() cannot come back.
         while progress:
             progress = False
             for inst in caller.instructions():

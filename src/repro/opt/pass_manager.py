@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
-from repro.ir.module import Module
+from repro.ir.instructions import CallInst
+from repro.ir.module import Function, Module
 from repro.ir.verifier import verify_module
 
 if False:  # pragma: no cover - typing only, avoids loading analysis eagerly
@@ -84,6 +85,38 @@ class OptContext:
         self.work += units
 
 
+class RunRecord:
+    """What one fixpoint run carries from one pass invocation to the next
+    (DESIGN §5.12, "Clean runs").
+
+    * the clean pairs: for each function, the names of the function
+      passes whose last run on it reported no change.  A later
+      invocation of a pass with such a name skips the function, whose
+      outcome is known: a change the pass reports on the function takes
+      it out for every name, and a change any module pass reports clears
+      them all;
+    * ``inline_history``: for each call the inliner cloned during the
+      run, the callees whose bodies it came from (``opt/inline.py``).
+      It is never cleared: a call keeps its history for the whole run.
+    """
+
+    def __init__(self) -> None:
+        self._clean: Dict[Function, Set[str]] = {}
+        self.inline_history: Dict[CallInst, FrozenSet[Function]] = {}
+
+    def is_clean(self, pass_name: str, fn: Function) -> bool:
+        return pass_name in self._clean.get(fn, ())
+
+    def mark_clean(self, pass_name: str, fn: Function) -> None:
+        self._clean.setdefault(fn, set()).add(pass_name)
+
+    def changed(self, fn: Function) -> None:
+        self._clean.pop(fn, None)
+
+    def clear(self) -> None:
+        self._clean.clear()
+
+
 class Pass:
     """Base class: a named module transformation."""
 
@@ -93,15 +126,34 @@ class Pass:
         """Transform *module* in place; return True if anything changed."""
         raise NotImplementedError
 
+    def run_in(self, module: Module, ctx: OptContext, record: RunRecord) -> bool:
+        """One invocation inside a fixpoint run that keeps *record*,
+        which a pass that carries nothing across invocations ignores."""
+        return self.run(module, ctx)
+
 
 class FunctionPass(Pass):
-    """A pass that processes one function at a time."""
+    """A pass that processes one function at a time.
+
+    It may read only its own function and the module's immutable facts,
+    and it must report every change it makes: the clean pairs of a
+    :class:`RunRecord` rest on both.
+    """
 
     def run(self, module: Module, ctx: OptContext) -> bool:
+        return self.run_in(module, ctx, RunRecord())
+
+    def run_in(self, module: Module, ctx: OptContext, record: RunRecord) -> bool:
         changed = False
         for fn in module.defined_functions():
             ctx.charge(fn.count_instructions())
-            changed |= self.run_on_function(fn, module, ctx)
+            if record.is_clean(self.name, fn):
+                continue
+            if self.run_on_function(fn, module, ctx):
+                record.changed(fn)
+                changed = True
+            else:
+                record.mark_clean(self.name, fn)
         return changed
 
     def run_on_function(self, fn, module: Module, ctx: OptContext) -> bool:
@@ -149,13 +201,17 @@ class PassManager:
         if sanitizer is not None:
             ctx.diagnostics.extend(sanitizer.advance(p.name))
 
-    def _run_pass(
-        self, p: Pass, module: Module, ctx: OptContext, iteration: int
+    def run_pass(
+        self, p: Pass, module: Module, ctx: OptContext, iteration: int,
+        record: RunRecord,
     ) -> bool:
-        """Run one pass, recording its charged work and real duration."""
+        """Run one invocation of the fixpoint run that keeps *record*,
+        recording its charged work and real duration."""
         work_before = ctx.work
         start = time.perf_counter()
-        changed = p.run(module, ctx)
+        changed = p.run_in(module, ctx, record)
+        if changed and not isinstance(p, FunctionPass):
+            record.clear()
         ctx.pass_timings.append(
             PassTiming(
                 pass_name=p.name,
@@ -180,10 +236,11 @@ class PassManager:
         """Repeat the pipeline until no pass reports changes (bounded)."""
         ctx = ctx or OptContext()
         sanitizer = self._make_sanitizer(module)
+        record = RunRecord()
         for iteration in range(max_iters):
             any_change = False
             for p in self.passes:
-                if self._run_pass(p, module, ctx, iteration):
+                if self.run_pass(p, module, ctx, iteration, record):
                     any_change = True
                 self._after_pass(module, p, ctx, sanitizer)
             if not any_change:

@@ -8,7 +8,10 @@ This module owns that flattening:
 
 * :func:`run_o2_with_attribution` replays the exact fixpoint schedule on
   a module, verifying (and optionally probe-sanitizing) after every
-  invocation, with every failure attributed to the offending invocation;
+  invocation, with every failure attributed to the offending invocation.
+  Each invocation goes through :meth:`PassManager.run_pass` with one
+  :class:`~repro.opt.pass_manager.RunRecord` for the replay, so it skips
+  exactly the functions ``optimize`` skips;
 * :func:`apply_o2_prefix` replays only the first *k* invocations — the
   primitive behind prefix bisection;
 * :func:`bisect_divergence` pins the first invocation whose output
@@ -29,7 +32,9 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.opt.pass_manager import MAX_FIXPOINT_ITERS, OptContext, Pass
+from repro.opt.pass_manager import (
+    MAX_FIXPOINT_ITERS, OptContext, Pass, PassManager, RunRecord,
+)
 from repro.opt.pipeline import o2_pipeline
 
 PipelineFactory = Callable[[], Sequence[Pass]]
@@ -83,17 +88,18 @@ def run_o2_with_attribution(
     ``max_invocations`` stops the replay after that many invocations —
     the prefix primitive.
     """
-    passes = list((pipeline or default_pipeline)())
+    manager = PassManager((pipeline or default_pipeline)())
     ctx = OptContext()
+    record = RunRecord()
     schedule: List[PassInvocation] = []
     for iteration in range(MAX_FIXPOINT_ITERS):
         any_change = False
-        for p in passes:
+        for p in manager.passes:
             if max_invocations is not None and len(schedule) >= max_invocations:
                 return schedule
             invocation = PassInvocation(len(schedule), iteration, p.name, False)
             try:
-                changed = bool(p.run(module, ctx))
+                changed = bool(manager.run_pass(p, module, ctx, iteration, record))
             except Exception as exc:
                 raise AttributedFailure(
                     "crash", invocation, f"{type(exc).__name__}: {exc}"

@@ -589,6 +589,18 @@ class TestRecursionThroughInlining:
         assert bounded_inlining
         assert run_main(module) == run_main(parse_module(source)) == result
 
+    @pytest.mark.parametrize("module, inlines", [
+        (lambda: compile_source(FACT, "fact"), ["fact"]),
+        (lambda: parse_module(MUTUAL), ["even", "odd", "odd", "even"]),
+    ], ids=["fact", "mutual"])
+    def test_o2_keeps_the_history_for_the_whole_run(
+        self, bounded_inlining, module, inlines
+    ):
+        """A call cloned in one -O2 iteration keeps its history in the
+        next, so a recursion is unrolled once, not once per iteration."""
+        optimize(module(), 2)
+        assert bounded_inlining == inlines
+
     def test_one_run_leaves_the_call_made_self_recursive(self):
         """Inlining @apply into @d brings in a direct self-call, left
         alone, and inlining @d into @main brings in a copy of it, which
