@@ -9,7 +9,8 @@ containing side-effecting instructions, so a probe call (an opaque
 
 Rewrites, iterated to a fixpoint:
 
-1. remove unreachable blocks
+1. remove unreachable blocks (in the first round, and after a round
+   that folded a branch)
 2. fold constant conditional branches and single-target switches
 3. merge a block into its unique predecessor
 4. skip empty forwarding blocks
@@ -81,11 +82,14 @@ class SimplifyCFG(FunctionPass):
 
     def run_on_function(self, fn: Function, module: Module, ctx: OptContext) -> bool:
         changed = False
-        progress = True
+        progress = folded = True
         while progress:
-            progress = False
-            progress |= self._remove_unreachable(fn, ctx)
-            progress |= self._fold_constant_branches(fn, ctx)
+            # Only a folded branch disconnects blocks: merging, forwarding
+            # and speculation delete only blocks whose predecessors they
+            # retarget.
+            progress = folded and self._remove_unreachable(fn, ctx)
+            folded = self._fold_constant_branches(fn, ctx)
+            progress |= folded
             progress |= self._merge_into_predecessor(fn, ctx)
             progress |= self._skip_forwarding_blocks(fn, ctx)
             progress |= self._speculate(fn, ctx)

@@ -7,7 +7,8 @@ per block: 600 ``if``s used to overflow the interpreter's recursion
 limit in ``reachable_blocks`` (reached from ``verify_module``), and 1,000
 in mem2reg's renaming walk.  Rebuilding the predecessor map after each
 speculation, and scanning every terminator for each forwarding block,
-made simplifycfg quadratic in N.
+made simplifycfg quadratic in N, and it walks the CFG for unreachable
+blocks only after a round that folded a branch.
 
 The same counting style pins two per-run scans: mem2reg finds every
 alloca's stores in one pass over its function, and the inliner answers
@@ -149,6 +150,24 @@ def test_simplifycfg_builds_at_most_one_predecessor_map_per_sweep(
     assert ctx.stats[rewrite] == 200
     assert [row for row in sweeps if row[1] > 1] == []
     assert predecessors_calls == []
+
+
+def test_simplifycfg_walks_for_unreachable_blocks_once_without_a_fold(monkeypatch):
+    """Only a folded branch disconnects blocks, so a run that folds none
+    walks the CFG once, in its first round, however many rounds its
+    other rewrites take."""
+    module = compile_source(if_chain(200), "chain")
+    fn = module.get("main")
+    assert PromoteMem2Reg().run_on_function(fn, module, OptContext())
+    counts = {"walks": 0, "maps": 0}
+    _count_cfg_walks(monkeypatch, counts, simplifycfg)
+    ctx = OptContext()
+    assert simplifycfg.SimplifyCFG().run_on_function(fn, module, ctx)
+    monkeypatch.undo()
+    verify_module(module)
+    assert ctx.stats["simplifycfg.speculated_triangle"] == 200
+    assert "simplifycfg.constant_branch" not in ctx.stats
+    assert counts["walks"] == 1
 
 
 class _CountingIdom(dict):
