@@ -38,6 +38,7 @@ from repro.backend.machine import (
     ObjectFile,
 )
 from repro.errors import BackendError
+from repro.ir.analysis import predecessor_map
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import (
     AllocaInst,
@@ -126,10 +127,16 @@ def _lower_initializer(gv) -> bytes:
 
 def split_critical_edges(fn: Function) -> None:
     """Insert empty blocks on critical edges into blocks with phis."""
+    # One map, built at the first block with phis.  A split changes the
+    # predecessors of only the block it splits for, so the entries of
+    # the blocks still to visit stay exact.
+    pred_map = None
     for block in list(fn.blocks):
         if not block.phis():
             continue
-        preds = block.predecessors()
+        if pred_map is None:
+            pred_map = predecessor_map(fn)
+        preds = pred_map[block]
         if len(preds) < 2:
             continue
         for pred in preds:
@@ -486,11 +493,16 @@ class _FunctionLowering:
     # -- phi elimination ---------------------------------------------------------
 
     def _eliminate_phis(self, fn: Function) -> None:
+        # The moves change no IR, so one map serves every block; it lists
+        # predecessors in `fn.blocks` order, which numbers the temporaries.
+        pred_map = None
         for block in fn.blocks:
             phis = block.phis()
             if not phis:
                 continue
-            for pred in block.predecessors():
+            if pred_map is None:
+                pred_map = predecessor_map(fn)
+            for pred in pred_map[block]:
                 pred_code = self.block_code[self.block_ids[id(pred)]]
                 moves: List[MachineInst] = []
                 # Parallel copy via temporaries (handles phi swaps).

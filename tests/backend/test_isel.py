@@ -273,6 +273,59 @@ entry:
 
 
 class TestCriticalEdges:
+    def test_lowering_builds_one_predecessor_map_per_phase(self, monkeypatch):
+        """Splitting and phi elimination each read one map, not a scan of
+        every terminator per block with phis."""
+        from repro.backend import isel
+        from repro.ir.module import BasicBlock
+        from repro.linker.linker import link
+        from repro.vm.interpreter import VM
+
+        m = parse_module(
+            """
+define i32 @f(i32 %n, i1 %c) {
+entry:
+  br i1 %c, label %header, label %join
+header:
+  %a = phi i32 [ 1, %entry ], [ %b, %latch ]
+  %b = phi i32 [ 2, %entry ], [ %a, %latch ]
+  %i = phi i32 [ 0, %entry ], [ %next, %latch ]
+  %lt = icmp slt i32 %i, %n
+  br i1 %lt, label %latch, label %join
+latch:
+  %next = add i32 %i, 1
+  br label %header
+join:
+  %x = phi i32 [ 7, %entry ], [ %a, %header ]
+  %y = phi i32 [ 0, %entry ], [ %b, %header ]
+  %r = mul i32 %x, 10
+  %s = add i32 %r, %y
+  ret i32 %s
+}
+"""
+        )
+        counts = {"maps": 0, "scans": 0}
+        build_map = isel.predecessor_map
+
+        def counted_map(fn):
+            counts["maps"] += 1
+            return build_map(fn)
+
+        def counted_predecessors(block):
+            counts["scans"] += 1
+            return []
+
+        monkeypatch.setattr(isel, "predecessor_map", counted_map)
+        monkeypatch.setattr(BasicBlock, "predecessors", counted_predecessors)
+        obj = lower_module(m)
+        monkeypatch.undo()
+        assert counts == {"maps": 2, "scans": 0}
+        exe = link([obj])
+        assert VM(exe).run("f", (1, 1)).exit_code == 21
+        assert VM(exe).run("f", (2, 1)).exit_code == 12
+        assert VM(exe).run("f", (2, 0)).exit_code == 70
+
+
     def test_critical_edge_split(self):
         m = parse_module(
             """
