@@ -1,25 +1,35 @@
 """Parser for the textual IR produced by :mod:`repro.ir.printer`.
 
-Exists mainly so tests and case studies can be written in readable IR —
-e.g. the paper's Figure 2 ``islower`` example is checked in as IR text and
-fed through instcombine/simplifycfg directly.
+Tests and case studies are written in readable IR (the paper's Figure 2
+``islower`` example is checked in as IR text and fed through
+instcombine/simplifycfg directly), and every fragment compile starts by
+parsing the fragment's canonical text (DESIGN §5.13, "Parsing the text").
+
+One ``findall`` turns the whole text into a list of token strings, which
+the parser reads through an integer cursor.  A token's kind is its first
+character: ``@`` a global name, ``%`` a local name, ``c"`` a string, a
+digit or ``-`` a number, a letter, ``_`` or ``.`` a word, anything else
+punctuation.  A token's line and column are worked out only when an
+error is raised, by scanning the text again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import IRParseError
+from repro.errors import IRError, IRParseError
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import (
     BINARY_OPCODES,
     CAST_OPCODES,
     ICMP_PREDICATES,
+    CastInst,
+    Instruction,
     PhiInst,
 )
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import ArrayType, FunctionType, IntType, Type, VOID, type_by_name
+from repro.ir.types import I1, PTR, ArrayType, FunctionType, IntType, Type, type_by_name
 from repro.ir.values import (
     ConstantArray,
     ConstantData,
@@ -31,533 +41,555 @@ from repro.ir.values import (
     Value,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|;[^\n]*)
-  | (?P<string>c"(?:[^"\\]|\\[0-9A-Fa-f]{2})*")
-  | (?P<gname>@[A-Za-z_.$][\w.$]*)
-  | (?P<lname>%[A-Za-z_.$][\w.$]*)
-  | (?P<number>-?\d+)
-  | (?P<word>[A-Za-z_.][\w.]*)
-  | (?P<punct>\.\.\.|[=,(){}\[\]:*])
-    """,
-    re.VERBOSE,
-)
+_SKIP = r"\s+|;[^\n]*"
+_TOKEN = "|".join((
+    r'c"(?:[^"\\]|\\[0-9A-Fa-f]{2})*"',  # string
+    r"@[A-Za-z_.$][\w.$]*",              # global name
+    r"%[A-Za-z_.$][\w.$]*",              # local name
+    r"-?\d+",                            # number
+    r"[A-Za-z_.][\w.]*",                 # word
+    r"\.\.\.|[=,(){}\[\]:*]",            # punctuation
+))
+#: Whitespace and comments match with an empty group, which the lexer
+#: drops.  A character no alternative matches becomes a one-character
+#: token that no rule of the parser accepts: a lone ``@``, ``%`` or ``-``
+#: names nothing and is not a number, and any other is not a token kind.
+_TOKEN_RE = re.compile(f"{_SKIP}|({_TOKEN}|.)")
+#: The same scan with stray characters in a group of their own, for errors.
+_LOCATE_RE = re.compile(f"{_SKIP}|({_TOKEN})|(.)")
+#: Appended after the last token: no token is a newline.
+_END = "\n"
 
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: List[Tuple[str, str, int]] = []
-        pos = 0
-        line = 1
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise IRParseError(f"unexpected character {text[pos]!r}", line)
-            kind = m.lastgroup
-            value = m.group()
-            line += value.count("\n")
-            if kind != "ws":
-                self.tokens.append((kind, value, line))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self) -> Optional[Tuple[str, str, int]]:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise IRParseError("unexpected end of input")
-        self.index += 1
-        return tok
-
-    def accept(self, value: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[1] == value:
-            self.index += 1
-            return True
-        return False
-
-    def expect(self, value: str) -> Tuple[str, str, int]:
-        tok = self.next()
-        if tok[1] != value:
-            raise IRParseError(f"expected {value!r}, got {tok[1]!r}", tok[2])
-        return tok
-
-    def expect_kind(self, kind: str) -> Tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise IRParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
-        return tok
-
-    def at_end(self) -> bool:
-        return self.index >= len(self.tokens)
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.")
+_BINARY = frozenset(BINARY_OPCODES)
+_CASTS = frozenset(CAST_OPCODES)
+_PREDICATES = frozenset(ICMP_PREDICATES)
 
 
 def parse_module(text: str, name: str = "parsed") -> Module:
     """Parse a full module from IR text."""
-    return _Parser(text, name).parse()
+    try:
+        return _Parser(text, name).parse()
+    except Exception as exc:
+        # A text with a stray character fails at it, whatever the parse
+        # tripped on first.
+        error = _located(text, exc)
+        if error is None:
+            raise
+        raise error from None
+
+
+def _tokenize(text: str) -> List[str]:
+    """Every token of *text*, in order, as strings."""
+    return list(filter(None, _TOKEN_RE.findall(text)))
+
+
+class _Failure(Exception):
+    """``_Failure(token_index, message)``: a parse error, which
+    :func:`parse_module` locates in the text."""
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """The 1-based line and column of *offset* in *text*."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _located(text: str, exc: Exception) -> Optional[IRParseError]:
+    """The error to raise for *exc*: the first stray character's, since a
+    text holding one fails wherever the parse stopped; else a failure's
+    message at its token; else None, which leaves *exc* as it is."""
+    starts = []
+    for m in _LOCATE_RE.finditer(text):
+        if m.lastindex == 2:
+            return IRParseError(
+                f"unexpected character {m.group(2)!r}", *_position(text, m.start(2))
+            )
+        if m.lastindex == 1:
+            starts.append(m.start(1))
+    if not isinstance(exc, _Failure):
+        return None
+    index, message = exc.args
+    if index >= len(starts):
+        return IRParseError("unexpected end of input", *_position(text, len(text)))
+    return IRParseError(message, *_position(text, starts[index]))
 
 
 class _Parser:
     def __init__(self, text: str, name: str):
-        self.lex = _Lexer(text)
+        self.toks = _tokenize(text)
+        self.toks.append(_END)
+        self.i = 0
         self.module = Module(name)
-        # Alias fixups: aliasee may be defined later in the file.
-        self._alias_fixups: List[Tuple[str, str, str]] = []
+        self.symbols = self.module.symbols
+        # Alias fixups: the aliasee may be defined later in the file.
+        self._alias_fixups: List[Tuple[str, str, int]] = []
 
     def parse(self) -> Module:
         # Pass A: create every top-level symbol so forward references
-        # (e.g. a call to a function declared later) resolve.
-        pending_bodies: List[tuple] = []  # (function, body_token_index)
-        while not self.lex.at_end():
-            kind, value, line = self.lex.peek()
-            if value == "define":
-                fn = self._parse_define_header()
-                self.lex.expect("{")
-                pending_bodies.append((fn, self.lex.index))
-                self._skip_to_close_brace()
-            elif value == "declare":
-                self._parse_declare()
-            elif kind == "gname":
-                self._parse_global_line()
+        # (e.g. a call to a function declared later) resolve.  Braces
+        # occur only around function bodies, so a body ends at the first
+        # "}" after its "{".
+        toks = self.toks
+        end = len(toks) - 1
+        bodies: List[Tuple[Function, int]] = []
+        while self.i < end:
+            t = toks[self.i]
+            if t == "define":
+                fn = self._define_header()
+                brace = self.i
+                self._expect("{")
+                try:
+                    close = toks.index("}", self.i)
+                except ValueError:
+                    raise _Failure(brace, "unterminated function body") from None
+                bodies.append((fn, self.i))
+                self.i = close + 1
+            elif t == "declare":
+                self._declare()
+            elif t[0] == "@":
+                self._global_line()
             else:
-                raise IRParseError(f"unexpected token {value!r}", line)
+                raise _Failure(self.i, f"unexpected token {t!r}")
         for alias_name, linkage, target in self._alias_fixups:
-            aliasee = self.module.get(target)
-            self.module.add(GlobalAlias(alias_name, aliasee, linkage))
+            self.module.add(GlobalAlias(alias_name, self._global(target), linkage))
         # Pass B: parse function bodies.
-        for fn, body_index in pending_bodies:
-            self.lex.index = body_index
-            _FunctionBodyParser(self, fn).parse()
+        for fn, start in bodies:
+            self._body(fn, start)
         return self.module
 
-    def _skip_to_close_brace(self) -> None:
-        depth = 1
-        while depth:
-            tok = self.lex.next()
-            if tok[1] == "{":
-                depth += 1
-            elif tok[1] == "}":
-                depth -= 1
+    # -- tokens -------------------------------------------------------------
+
+    def _expect(self, value: str) -> None:
+        i = self.i
+        t = self.toks[i]
+        if t != value:
+            raise _Failure(i, f"expected {value!r}, got {t!r}")
+        self.i = i + 1
+
+    def _accept(self, value: str) -> bool:
+        if self.toks[self.i] == value:
+            self.i += 1
+            return True
+        return False
+
+    def _name(self, sigil: str) -> str:
+        """The name of the ``@global`` or ``%local`` token at the cursor."""
+        i = self.i
+        t = self.toks[i]
+        if t[0] != sigil or len(t) == 1:
+            raise _Failure(i, f"expected a {sigil}name, got {t!r}")
+        self.i = i + 1
+        return t[1:]
+
+    def _int(self) -> int:
+        i = self.i
+        try:
+            value = int(self.toks[i])
+        except ValueError:
+            raise _Failure(i, f"expected a number, got {self.toks[i]!r}") from None
+        self.i = i + 1
+        return value
+
+    def _global(self, i: int) -> Value:
+        """The symbol token *i* names."""
+        t = self.toks[i]
+        symbol = self.symbols.get(t[1:])
+        if symbol is None:
+            raise _Failure(i, f"undefined global {t}")
+        return symbol
 
     # -- types ------------------------------------------------------------
 
-    def _parse_type(self) -> Type:
-        tok = self.lex.peek()
-        if tok is not None and tok[1] == "[":
-            self.lex.next()
-            count = int(self.lex.expect_kind("number")[1])
-            self.lex.expect("x")
-            elem = self._parse_type()
-            self.lex.expect("]")
+    def _type(self) -> Type:
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        if t == "[":
+            count = self._int()
+            self._expect("x")
+            elem = self._type()
+            self._expect("]")
             return ArrayType(elem, count)
-        kind, value, line = self.lex.next()
         try:
-            return type_by_name(value)
-        except Exception:
-            raise IRParseError(f"unknown type {value!r}", line) from None
+            return type_by_name(t)
+        except IRError:
+            raise _Failure(i, f"unknown type {t!r}") from None
 
     # -- globals ----------------------------------------------------------
 
-    def _parse_global_line(self) -> None:
-        gname = self.lex.expect_kind("gname")[1][1:]
-        self.lex.expect("=")
-        linkage = "internal" if self.lex.accept("internal") else "external"
-        if self.lex.accept("alias"):
-            target = self.lex.expect_kind("gname")[1][1:]
+    def _global_line(self) -> None:
+        gname = self._name("@")
+        self._expect("=")
+        linkage = "internal" if self._accept("internal") else "external"
+        if self._accept("alias"):
+            target = self.i
+            self._name("@")
             self._alias_fixups.append((gname, linkage, target))
             return
-        declared = self.lex.accept("declare")
-        if self.lex.accept("const"):
+        declared = self._accept("declare")
+        if self._accept("const"):
             is_const = True
         else:
-            self.lex.expect("global")
+            self._expect("global")
             is_const = False
-        value_type = self._parse_type()
-        if declared:
-            self.module.add(
-                GlobalVariable(gname, value_type, None, is_const=is_const, linkage=linkage)
-            )
-            return
-        init = self._parse_initializer(value_type)
+        value_type = self._type()
+        init = None if declared else self._initializer(value_type)
         self.module.add(
             GlobalVariable(gname, value_type, init, is_const=is_const, linkage=linkage)
         )
 
-    def _parse_initializer(self, value_type: Type):
-        tok = self.lex.peek()
-        if tok is None:
-            raise IRParseError("missing initializer")
-        kind, value, line = tok
-        if kind == "string":
-            self.lex.next()
-            return ConstantData(_decode_string(value))
-        if kind == "number":
-            self.lex.next()
-            if not isinstance(value_type, IntType):
-                raise IRParseError(f"integer initializer for type {value_type}", line)
-            return ConstantInt(value_type, int(value))
-        if value == "null":
-            self.lex.next()
+    def _initializer(self, value_type: Type):
+        i = self.i
+        t = self.toks[i]
+        if t.startswith('c"'):
+            self.i = i + 1
+            return ConstantData(_decode_string(t))
+        if t == "null":
+            self.i = i + 1
             return NullPtr()
-        if value == "undef":
-            self.lex.next()
+        if t == "undef":
+            self.i = i + 1
             return UndefValue(value_type)
-        if value == "[":
-            self.lex.next()
+        if t == "[":
+            self.i = i + 1
             values = []
             elem_type = None
-            while not self.lex.accept("]"):
+            while not self._accept("]"):
                 if values:
-                    self.lex.expect(",")
-                elem_type = self._parse_type()
-                values.append(int(self.lex.expect_kind("number")[1]))
+                    self._expect(",")
+                elem_type = self._type()
+                values.append(self._int())
             if elem_type is None:
                 if not isinstance(value_type, ArrayType):
-                    raise IRParseError("empty array initializer needs array type", line)
+                    raise _Failure(i, "empty array initializer needs array type")
                 elem_type = value_type.element
             return ConstantArray(elem_type, values)
-        raise IRParseError(f"bad initializer {value!r}", line)
+        try:
+            value = int(t)
+        except ValueError:
+            raise _Failure(i, f"bad initializer {t!r}") from None
+        if not isinstance(value_type, IntType):
+            raise _Failure(i, f"integer initializer for type {value_type}")
+        self.i = i + 1
+        return ConstantInt(value_type, value)
 
     # -- functions ----------------------------------------------------------
 
-    def _parse_declare(self) -> None:
-        self.lex.expect("declare")
-        ret = self._parse_type()
-        fname = self.lex.expect_kind("gname")[1][1:]
-        params, vararg, _ = self._parse_params(named=False)
+    def _declare(self) -> None:
+        self._expect("declare")
+        ret = self._type()
+        fname = self._name("@")
+        params, vararg, _ = self._params(named=False)
         self.module.add(Function(fname, FunctionType(ret, tuple(params), vararg)))
 
-    def _parse_params(self, named: bool) -> Tuple[List[Type], bool, List[str]]:
-        self.lex.expect("(")
+    def _params(self, named: bool) -> Tuple[List[Type], bool, List[str]]:
+        self._expect("(")
         params: List[Type] = []
         names: List[str] = []
         vararg = False
-        while not self.lex.accept(")"):
+        while not self._accept(")"):
             if params or vararg:
-                self.lex.expect(",")
-            if self.lex.accept("..."):
+                self._expect(",")
+            if self._accept("..."):
                 vararg = True
                 continue
-            params.append(self._parse_type())
+            params.append(self._type())
             if named:
-                names.append(self.lex.expect_kind("lname")[1][1:])
+                names.append(self._name("%"))
         return params, vararg, names
 
-    def _parse_define_header(self) -> Function:
-        self.lex.expect("define")
-        linkage = "internal" if self.lex.accept("internal") else "external"
-        ret = self._parse_type()
-        fname = self.lex.expect_kind("gname")[1][1:]
-        params, vararg, names = self._parse_params(named=True)
+    def _define_header(self) -> Function:
+        self._expect("define")
+        linkage = "internal" if self._accept("internal") else "external"
+        ret = self._type()
+        fname = self._name("@")
+        params, vararg, names = self._params(named=True)
         fn = Function(fname, FunctionType(ret, tuple(params), vararg), names, linkage)
         self.module.add(fn)
         return fn
 
-    def lookup_global(self, name: str, line: int) -> Value:
-        sym = self.module.get_or_none(name)
-        if sym is None:
-            raise IRParseError(f"undefined global @{name}", line)
-        return sym
+    # -- function bodies ------------------------------------------------------
 
-
-class _FunctionBodyParser:
-    def __init__(self, parent: _Parser, fn: Function):
-        self.p = parent
-        self.lex = parent.lex
+    def _body(self, fn: Function, start: int) -> None:
+        """Parse *fn*'s body, from token *start* to its closing brace."""
+        toks = self.toks
         self.fn = fn
-        self.values: Dict[str, Value] = {a.name: a for a in fn.args}
+        # Local values by token ("%name"), blocks by label name and the
+        # token where each label was first mentioned.
+        self.values: Dict[str, Value] = {"%" + a.name: a for a in fn.args}
         self.blocks: Dict[str, BasicBlock] = {}
-        self.fixups: List[Tuple[PhiInst, int, str, int]] = []
-        # Non-phi forward references.  SSA only requires that a def
-        # *dominate* its uses, not that it precede them in block layout —
-        # optimized IR (inlined call bodies, reordered blocks) routinely
-        # prints a use before its def.  Undefined operand names become
-        # placeholder Values, rewritten to the real def once the whole
-        # body has been parsed.
+        self.first_mention: Dict[str, int] = {}
+        # SSA only requires that a def *dominate* its uses, not that it
+        # precede them in block layout: optimized IR (inlined call bodies,
+        # reordered blocks) routinely prints a use before its def.  A phi
+        # incoming or operand naming a value not yet defined gets a
+        # placeholder of the type its use declares, resolved once the
+        # whole body is parsed: (phi, incoming index, token, token index)
+        # and (placeholder, token, token index).
+        self.phi_fixups: List[Tuple[PhiInst, int, str, int]] = []
         self.value_fixups: List[Tuple[Value, str, int]] = []
-
-    def _block(self, name: str) -> BasicBlock:
-        if name not in self.blocks:
-            block = BasicBlock(name, self.fn)
-            self.fn._block_names.add(name)
-            self.blocks[name] = block
-        return self.blocks[name]
-
-    def parse(self) -> None:
-        current: Optional[BasicBlock] = None
+        values = self.values
+        defined: Set[BasicBlock] = set()
+        builder: Optional[IRBuilder] = None
+        self.i = start
         while True:
-            tok = self.lex.peek()
-            if tok is None:
-                raise IRParseError("unterminated function body")
-            kind, value, line = tok
-            if value == "}":
-                self.lex.next()
+            i = self.i
+            t = toks[i]
+            if t == "}":
                 break
-            nxt = (
-                self.lex.tokens[self.lex.index + 1]
-                if self.lex.index + 1 < len(self.lex.tokens)
-                else None
-            )
-            if kind == "word" and nxt is not None and nxt[1] == ":":
-                self.lex.next()
-                self.lex.next()
-                current = self._block(value)
-                if current not in self.fn.blocks:
-                    self.fn.blocks.append(current)
-                continue
-            if current is None:
-                raise IRParseError("instruction outside a block", line)
-            self._parse_instruction(current)
-        # Resolve deferred phi value references.
-        for phi, idx, name, line in self.fixups:
-            if name not in self.values:
-                raise IRParseError(f"undefined value %{name}", line)
-            value, block = phi.incoming[idx]
-            phi.incoming[idx] = (self.values[name], block)
-            self.values[name].add_user(phi)
-        # Resolve non-phi forward references: swap each placeholder for
-        # the value the name ended up bound to.
-        if self.value_fixups:
-            unresolved = [
-                (name, line)
-                for _p, name, line in self.value_fixups
-                if name not in self.values
-            ]
-            if unresolved:
-                name, line = unresolved[0]
-                raise IRParseError(f"use of undefined value %{name}", line)
-            replacements = {
-                id(placeholder): self.values[name]
-                for placeholder, name, _line in self.value_fixups
-            }
-            for block in self.fn.blocks:
-                for inst in block.instructions:
-                    for i, op in enumerate(inst.operands):
-                        replacement = replacements.get(id(op))
-                        if replacement is not None:
-                            inst.operands[i] = replacement
-                            replacement.add_user(inst)
-        # Validate all referenced blocks were defined.
-        for bname, block in self.blocks.items():
-            if block not in self.fn.blocks:
-                raise IRParseError(f"undefined block label %{bname}")
+            follower = toks[i + 1]
+            if follower == ":" and t[0] in _WORD_START and not t.startswith('c"'):
+                block = self._block(t, i)
+                if block not in defined:
+                    defined.add(block)
+                    fn.blocks.append(block)
+                builder = IRBuilder.at_end(block)
+                self.i = i + 2
+            elif builder is None:
+                raise _Failure(i, "instruction outside a block")
+            elif t[0] == "%":
+                if follower != "=":
+                    raise _Failure(i + 1, f"expected '=', got {follower!r}")
+                self.i = i + 2
+                # The builder names the instruction "v"/"vN" (a phi
+                # "phi"/"phiN") first, as for every instruction it makes;
+                # names the optimizer makes later continue from the
+                # function's counter and names (DESIGN §5.13).
+                inst = self._valued(builder)
+                if t in values or t == "%":
+                    raise _Failure(i, f"redefinition of {t}")
+                values[t] = inst
+                name = inst.name = t[1:]
+                fn._value_names.add(name)
+            else:
+                self.i = i + 1
+                self._void(t, i, builder)
+        self._resolve(defined)
 
-    # -- operand parsing ----------------------------------------------------
+    def _resolve(self, defined: Set[BasicBlock]) -> None:
+        for phi, k, t, i in self.phi_fixups:
+            value = self._definition(t, i, phi.type, "undefined value")
+            phi.incoming[k] = (value, phi.incoming[k][1])
+            value.add_user(phi)
+        for placeholder, t, i in self.value_fixups:
+            value = self._definition(t, i, placeholder.type, "use of undefined value")
+            for user in placeholder.users:
+                user.replace_uses_of(placeholder, value)
+        for name, block in self.blocks.items():
+            if block not in defined:
+                raise _Failure(self.first_mention[name], f"undefined block label %{name}")
 
-    def _parse_typed_operand(self) -> Value:
-        type_ = self.p._parse_type()
-        return self._parse_operand(type_)
+    def _definition(self, t: str, i: int, type_: Type, undefined: str) -> Value:
+        """The value forward reference *t* at token *i* resolves to, which
+        must have the type *type_* its use declared."""
+        value = self.values.get(t)
+        if value is None:
+            raise _Failure(i, f"{undefined} {t}")
+        if value.type is not type_:
+            raise _Failure(i, f"{t} is defined as {value.type} but used as {type_}")
+        return value
 
-    def _parse_operand(self, type_: Type) -> Value:
-        kind, value, line = self.lex.next()
-        if kind == "number":
-            if not isinstance(type_, IntType):
-                raise IRParseError(f"integer literal with type {type_}", line)
-            return ConstantInt(type_, int(value))
-        if kind == "lname":
-            name = value[1:]
-            if name not in self.values:
-                # Forward reference: the defining block prints later.
-                placeholder = Value(type_, name)
-                self.value_fixups.append((placeholder, name, line))
-                return placeholder
-            return self.values[name]
-        if kind == "gname":
-            return self.p.lookup_global(value[1:], line)
-        if value == "null":
+    def _block(self, name: str, i: int) -> BasicBlock:
+        block = self.blocks.get(name)
+        if block is None:
+            block = self.blocks[name] = BasicBlock(name, self.fn)
+            self.fn._block_names.add(name)
+            self.first_mention[name] = i
+        return block
+
+    def _label(self) -> BasicBlock:
+        """``label %name`` at the cursor."""
+        self._expect("label")
+        i = self.i
+        return self._block(self._name("%"), i)
+
+    # -- operands -----------------------------------------------------------
+
+    def _typed_operand(self) -> Value:
+        return self._operand(self._type())
+
+    def _operand(self, type_: Type) -> Value:
+        """The operand at the cursor, of the type its use declares."""
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        c = t[0]
+        if c == "%":
+            value = self.values.get(t)
+            return self._forward(t, i, type_) if value is None else value
+        if c == "@":
+            return self._global(i)
+        if t == "null":
             return NullPtr()
-        if value == "undef":
+        if t == "undef":
             return UndefValue(type_)
-        if value == "true":
-            return ConstantInt(IntType(1), 1)
-        if value == "false":
-            return ConstantInt(IntType(1), 0)
-        raise IRParseError(f"bad operand {value!r}", line)
+        if t == "true":
+            return ConstantInt(I1, 1)
+        if t == "false":
+            return ConstantInt(I1, 0)
+        try:
+            value = int(t)
+        except ValueError:
+            raise _Failure(i, f"bad operand {t!r}") from None
+        if not isinstance(type_, IntType):
+            raise _Failure(i, f"integer literal with type {type_}")
+        return ConstantInt(type_, value)
 
-    def _define(self, name: str, value: Value, line: int) -> None:
-        if name in self.values:
-            raise IRParseError(f"redefinition of %{name}", line)
-        self.values[name] = value
-        value.name = name
-        self.fn._value_names.add(name)
+    def _forward(self, t: str, i: int, type_: Type) -> Value:
+        """A placeholder for local *t*, whose definition prints later.  Its
+        users set lists the instruction that takes it as an operand."""
+        placeholder = Value(type_, t[1:])
+        placeholder.users = {}
+        self.value_fixups.append((placeholder, t, i))
+        return placeholder
 
-    # -- instruction parsing --------------------------------------------------
+    # -- instructions -------------------------------------------------------
 
-    def _parse_instruction(self, block: BasicBlock) -> None:
-        builder = IRBuilder.at_end(block)
-        kind, value, line = self.lex.next()
-
-        if kind == "lname":
-            result_name = value[1:]
-            self.lex.expect("=")
-            op = self.lex.next()[1]
-            result = self._parse_valued(builder, op, line)
-            self._define(result_name, result, line)
-            return
-
-        # Void instructions.
-        if value == "store":
-            val = self._parse_typed_operand()
-            self.lex.expect(",")
-            ptr = self._parse_typed_operand()
-            builder.store(val, ptr)
-            return
-        if value == "call":
-            ret = self.p._parse_type()
-            if not ret.is_void():
-                raise IRParseError("non-void call must be assigned", line)
-            self._parse_call(builder, ret)
-            return
-        if value == "br":
-            if self.lex.accept("label"):
-                target = self.lex.expect_kind("lname")[1][1:]
-                builder.br(self._block(target))
+    def _void(self, t: str, i: int, builder: IRBuilder) -> None:
+        if t == "store":
+            value = self._typed_operand()
+            self._expect(",")
+            builder.store(value, self._typed_operand())
+        elif t == "br":
+            if self.toks[self.i] == "label":
+                builder.br(self._label())
                 return
-            cond = self._parse_typed_operand_with_first("i1")
-            self.lex.expect(",")
-            self.lex.expect("label")
-            t = self.lex.expect_kind("lname")[1][1:]
-            self.lex.expect(",")
-            self.lex.expect("label")
-            f = self.lex.expect_kind("lname")[1][1:]
-            builder.condbr(cond, self._block(t), self._block(f))
-            return
-        if value == "switch":
-            scrutinee = self._parse_typed_operand()
-            self.lex.expect(",")
-            self.lex.expect("label")
-            default = self.lex.expect_kind("lname")[1][1:]
-            sw = builder.switch(scrutinee, self._block(default))
-            self.lex.expect("[")
-            while not self.lex.accept("]"):
-                case_type = self.p._parse_type()
-                case_val = int(self.lex.expect_kind("number")[1])
-                self.lex.expect(",")
-                self.lex.expect("label")
-                target = self.lex.expect_kind("lname")[1][1:]
-                sw.add_case(ConstantInt(case_type, case_val), self._block(target))
-            return
-        if value == "ret":
-            if self.lex.accept("void"):
+            cond = self._typed_operand()
+            self._expect(",")
+            if_true = self._label()
+            self._expect(",")
+            builder.condbr(cond, if_true, self._label())
+        elif t == "call":
+            ret = self._type()
+            if not ret.is_void():
+                raise _Failure(i, "non-void call must be assigned")
+            self._call(builder, ret)
+        elif t == "ret":
+            if self._accept("void"):
                 builder.ret()
             else:
-                builder.ret(self._parse_typed_operand())
-            return
-        if value == "unreachable":
+                builder.ret(self._typed_operand())
+        elif t == "switch":
+            scrutinee = self._typed_operand()
+            self._expect(",")
+            sw = builder.switch(scrutinee, self._label())
+            self._expect("[")
+            while not self._accept("]"):
+                case_type = self._type()
+                case_value = self._int()
+                self._expect(",")
+                sw.add_case(ConstantInt(case_type, case_value), self._label())
+        elif t == "unreachable":
             builder.unreachable()
-            return
-        raise IRParseError(f"unknown instruction {value!r}", line)
-
-    def _parse_typed_operand_with_first(self, _expected: str) -> Value:
-        return self._parse_typed_operand()
-
-    def _parse_valued(self, builder: IRBuilder, op: str, line: int) -> Value:
-        if op in BINARY_OPCODES:
-            type_ = self.p._parse_type()
-            lhs = self._parse_operand(type_)
-            self.lex.expect(",")
-            rhs = self._parse_operand(type_)
-            return builder.binop(op, lhs, rhs)
-        if op == "icmp":
-            pred = self.lex.next()[1]
-            if pred not in ICMP_PREDICATES:
-                raise IRParseError(f"bad icmp predicate {pred!r}", line)
-            type_ = self.p._parse_type()
-            lhs = self._parse_operand(type_)
-            self.lex.expect(",")
-            rhs = self._parse_operand(type_)
-            return builder.icmp(pred, lhs, rhs)
-        if op in CAST_OPCODES:
-            val = self._parse_typed_operand()
-            self.lex.expect("to")
-            to_type = self.p._parse_type()
-            from repro.ir.instructions import CastInst
-
-            inst = CastInst(op, val, to_type)
-            builder._insert(inst)
-            return inst
-        if op == "select":
-            cond = self._parse_typed_operand()
-            self.lex.expect(",")
-            a = self._parse_typed_operand()
-            self.lex.expect(",")
-            b = self._parse_typed_operand()
-            return builder.select(cond, a, b)
-        if op == "freeze":
-            return builder.freeze(self._parse_typed_operand())
-        if op == "alloca":
-            return builder.alloca(self.p._parse_type())
-        if op == "load":
-            loaded = self.p._parse_type()
-            self.lex.expect(",")
-            ptr = self._parse_typed_operand()
-            return builder.load(loaded, ptr)
-        if op == "gep":
-            elem = self.p._parse_type()
-            self.lex.expect(",")
-            base = self._parse_typed_operand()
-            self.lex.expect(",")
-            index = self._parse_typed_operand()
-            return builder.gep(elem, base, index)
-        if op == "call":
-            ret = self.p._parse_type()
-            return self._parse_call(builder, ret)
-        if op == "phi":
-            type_ = self.p._parse_type()
-            phi = builder.phi(type_)
-            first = True
-            while first or self.lex.accept(","):
-                first = False
-                self.lex.expect("[")
-                ktok = self.lex.next()
-                self.lex.expect(",")
-                bname = self.lex.expect_kind("lname")[1][1:]
-                self.lex.expect("]")
-                block = self._block(bname)
-                if ktok[0] == "number":
-                    phi.incoming.append((ConstantInt(type_, int(ktok[1])), block))
-                elif ktok[0] == "lname":
-                    vname = ktok[1][1:]
-                    if vname in self.values:
-                        phi.incoming.append((self.values[vname], block))
-                        self.values[vname].add_user(phi)
-                    else:
-                        phi.incoming.append((UndefValue(type_), block))
-                        self.fixups.append((phi, len(phi.incoming) - 1, vname, ktok[2]))
-                elif ktok[1] == "true":
-                    phi.incoming.append((ConstantInt(IntType(1), 1), block))
-                elif ktok[1] == "false":
-                    phi.incoming.append((ConstantInt(IntType(1), 0), block))
-                elif ktok[1] == "undef":
-                    phi.incoming.append((UndefValue(type_), block))
-                elif ktok[0] == "gname":
-                    phi.incoming.append((self.p.lookup_global(ktok[1][1:], ktok[2]), block))
-                else:
-                    raise IRParseError(f"bad phi incoming {ktok[1]!r}", ktok[2])
-            return phi
-        raise IRParseError(f"unknown opcode {op!r}", line)
-
-    def _parse_call(self, builder: IRBuilder, ret: Type) -> Value:
-        kind, value, line = self.lex.next()
-        if kind == "gname":
-            callee = self.p.lookup_global(value[1:], line)
-        elif kind == "lname":
-            name = value[1:]
-            if name not in self.values:
-                raise IRParseError(f"use of undefined value %{name}", line)
-            callee = self.values[name]
         else:
-            raise IRParseError(f"bad callee {value!r}", line)
-        self.lex.expect("(")
+            raise _Failure(i, f"unknown instruction {t!r}")
+
+    def _valued(self, builder: IRBuilder) -> Instruction:
+        """Parse the instruction after ``%name =`` and append it."""
+        i = self.i
+        op = self.toks[i]
+        self.i = i + 1
+        if op == "load":
+            loaded = self._type()
+            self._expect(",")
+            return builder.load(loaded, self._typed_operand())
+        if op in _BINARY:
+            type_ = self._type()
+            lhs = self._operand(type_)
+            self._expect(",")
+            return builder.binop(op, lhs, self._operand(type_))
+        if op == "icmp":
+            pred = self.toks[self.i]
+            if pred not in _PREDICATES:
+                raise _Failure(self.i, f"bad icmp predicate {pred!r}")
+            self.i += 1
+            type_ = self._type()
+            lhs = self._operand(type_)
+            self._expect(",")
+            return builder.icmp(pred, lhs, self._operand(type_))
+        if op == "call":
+            return self._call(builder, self._type())
+        if op == "gep":
+            elem = self._type()
+            self._expect(",")
+            base = self._typed_operand()
+            self._expect(",")
+            return builder.gep(elem, base, self._typed_operand())
+        if op == "phi":
+            return self._phi(builder)
+        if op in _CASTS:
+            value = self._typed_operand()
+            self._expect("to")
+            return builder._insert(CastInst(op, value, self._type()))
+        if op == "select":
+            cond = self._typed_operand()
+            self._expect(",")
+            if_true = self._typed_operand()
+            self._expect(",")
+            return builder.select(cond, if_true, self._typed_operand())
+        if op == "alloca":
+            return builder.alloca(self._type())
+        if op == "freeze":
+            return builder.freeze(self._typed_operand())
+        raise _Failure(i, f"unknown opcode {op!r}")
+
+    def _phi(self, builder: IRBuilder) -> PhiInst:
+        phi = builder.phi(self._type())
+        type_ = phi.type
+        toks = self.toks
+        while True:
+            self._expect("[")
+            k = self.i
+            t = toks[k]
+            if t[0] == "%":
+                value = self.values.get(t)
+                if value is None:
+                    value = UndefValue(type_)
+                    self.phi_fixups.append((phi, len(phi.incoming), t, k))
+                else:
+                    value.add_user(phi)
+            elif t == "true":
+                value = ConstantInt(I1, 1)
+            elif t == "false":
+                value = ConstantInt(I1, 0)
+            elif t == "undef":
+                value = UndefValue(type_)
+            elif t[0] == "@":
+                value = self._global(k)
+            else:
+                try:
+                    number = int(t)
+                except ValueError:
+                    raise _Failure(k, f"bad phi incoming {t!r}") from None
+                value = ConstantInt(type_, number)
+            self.i = k + 1
+            self._expect(",")
+            j = self.i
+            phi.incoming.append((value, self._block(self._name("%"), j)))
+            self._expect("]")
+            if not self._accept(","):
+                return phi
+
+    def _call(self, builder: IRBuilder, ret: Type) -> Instruction:
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        if t[0] == "@":
+            callee = self._global(i)
+        elif t[0] == "%":
+            # A callee defined later is a forward reference like any
+            # other operand, typed ptr.
+            callee = self.values.get(t)
+            if callee is None:
+                callee = self._forward(t, i, PTR)
+        else:
+            raise _Failure(i, f"bad callee {t!r}")
+        self._expect("(")
         args: List[Value] = []
-        while not self.lex.accept(")"):
+        while not self._accept(")"):
             if args:
-                self.lex.expect(",")
-            args.append(self._parse_typed_operand())
+                self._expect(",")
+            args.append(self._typed_operand())
         if isinstance(callee, Function):
             ftype = callee.function_type
         else:
