@@ -19,7 +19,7 @@ from repro.ir.instructions import CallInst, PhiInst
 from repro.ir.module import Function, Module
 from repro.ir.types import FunctionType
 from repro.ir.values import Argument
-from repro.opt.pass_manager import OptContext, Pass, REQ_BOND
+from repro.opt.pass_manager import OptContext, Pass, REQ_BOND, RunRecord
 
 
 def _used_argument_indices(fn: Function) -> Set[int]:
@@ -57,6 +57,9 @@ class DeadArgumentElimination(Pass):
     name = "dae"
 
     def run(self, module: Module, ctx: OptContext) -> bool:
+        return self.run_in(module, ctx, RunRecord())
+
+    def run_in(self, module: Module, ctx: OptContext, record: RunRecord) -> bool:
         changed = False
         for fn in list(module.defined_functions()):
             if not fn.is_internal:
@@ -77,6 +80,10 @@ class DeadArgumentElimination(Pass):
                 if caller is not fn:
                     ctx.log_requirement(REQ_BOND, fn.name, caller.name, self.name)
             self._rewrite(fn, module, dead, ctx)
+            # The rewrite changes the callee and its call sites alone.
+            record.changed(fn)
+            for caller in callers:
+                record.changed(caller)
             changed = True
         return changed
 

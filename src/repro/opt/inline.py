@@ -123,9 +123,12 @@ class FunctionInlining(Pass):
                 caller = module.get_or_none(caller_name)
                 if not isinstance(caller, Function) or caller.is_declaration():
                     continue
-                changed |= self._inline_calls_in(
+                if self._inline_calls_in(
                     caller, scc_of, call_sites, record.inline_history, ctx
-                )
+                ):
+                    # Inlining rewrites its caller alone.
+                    record.changed(caller)
+                    changed = True
         return changed
 
     def _inline_calls_in(

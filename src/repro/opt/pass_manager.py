@@ -92,9 +92,10 @@ class RunRecord:
     * the clean pairs: for each function, the names of the function
       passes whose last run on it reported no change.  A later
       invocation of a pass with such a name skips the function, whose
-      outcome is known: a change the pass reports on the function takes
-      it out for every name, and a change any module pass reports clears
-      them all;
+      outcome is known: a change any pass makes to the function takes it
+      out for every name.  Function passes, inline and dae name the
+      functions they changed; any other module pass that reports a
+      change clears them all;
     * ``inline_history``: for each call the inliner cloned during the
       run, the callees whose bodies it came from (``opt/inline.py``).
       It is never cleared: a call keeps its history for the whole run.
@@ -127,9 +128,14 @@ class Pass:
         raise NotImplementedError
 
     def run_in(self, module: Module, ctx: OptContext, record: RunRecord) -> bool:
-        """One invocation inside a fixpoint run that keeps *record*,
-        which a pass that carries nothing across invocations ignores."""
-        return self.run(module, ctx)
+        """One invocation inside a fixpoint run that keeps *record*.  A
+        pass that does not say which functions it changed may have
+        rewritten any of them, or the facts they read, so its change
+        clears the record's clean pairs."""
+        changed = self.run(module, ctx)
+        if changed:
+            record.clear()
+        return changed
 
 
 class FunctionPass(Pass):
@@ -210,8 +216,6 @@ class PassManager:
         work_before = ctx.work
         start = time.perf_counter()
         changed = p.run_in(module, ctx, record)
-        if changed and not isinstance(p, FunctionPass):
-            record.clear()
         ctx.pass_timings.append(
             PassTiming(
                 pass_name=p.name,

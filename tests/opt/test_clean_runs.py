@@ -26,6 +26,7 @@ from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_function, print_module
 from repro.opt.cse import EarlyCSE
+from repro.opt.dae import DeadArgumentElimination
 from repro.opt.inline import FunctionInlining
 from repro.opt.instcombine import InstCombine
 from repro.opt.pass_manager import FunctionPass, PassManager
@@ -182,6 +183,71 @@ def test_a_change_reopens_its_function_alone(monkeypatch):
     assert Counter((name, fn) for name, fn, _ in runs) == {
         ("early-cse", "f"): 2, ("instcombine", "f"): 2,
         ("early-cse", "g"): 1, ("instcombine", "g"): 1,
+    }
+
+
+# The inliner puts @seven into @main alone; @other is no caller.
+INLINE_INTO_ONE = FOLD_AFTER_INLINE + """
+define i32 @other(i32 %x) {
+entry:
+  %a = mul i32 %x, 3
+  ret i32 %a
+}
+"""
+
+
+def test_an_inline_reopens_its_caller_alone(monkeypatch):
+    module = parse_module(INLINE_INTO_ONE)
+    runs = _count_runs(monkeypatch)
+    ctx = PassManager([InstCombine(), FunctionInlining(), InstCombine()]).run(module)
+    assert [t.changed for t in ctx.pass_timings] == [False, True, True]
+    assert "ret i32 8" in print_function(module.get("main"))
+    assert Counter((name, fn) for name, fn, _ in runs) == {
+        ("instcombine", "seven"): 1, ("instcombine", "main"): 2,
+        ("instcombine", "other"): 1,
+    }
+
+
+# dae drops @callee's unused %dead, which rewrites @callee and the calls
+# in @main and @second; @bystander calls nothing.
+DEAD_ARGUMENT = """
+define internal i32 @callee(i32 %used, i32 %dead) {
+entry:
+  %r = mul i32 %used, 3
+  ret i32 %r
+}
+
+define i32 @main(i32 %x) {
+entry:
+  %a = call i32 @callee(i32 %x, i32 5)
+  ret i32 %a
+}
+
+define i32 @second(i32 %x) {
+entry:
+  %a = call i32 @callee(i32 %x, i32 6)
+  ret i32 %a
+}
+
+define i32 @bystander(i32 %x) {
+entry:
+  %a = mul i32 %x, 3
+  ret i32 %a
+}
+"""
+
+
+def test_a_dae_rewrite_reopens_the_callee_and_its_callers_alone(monkeypatch):
+    module = parse_module(DEAD_ARGUMENT)
+    runs = _count_runs(monkeypatch)
+    ctx = PassManager(
+        [InstCombine(), DeadArgumentElimination(), InstCombine()]
+    ).run(module)
+    assert [t.changed for t in ctx.pass_timings] == [False, True, False]
+    assert "%dead" not in print_module(module)
+    assert Counter((name, fn) for name, fn, _ in runs) == {
+        ("instcombine", "callee"): 2, ("instcombine", "main"): 2,
+        ("instcombine", "second"): 2, ("instcombine", "bystander"): 1,
     }
 
 
