@@ -10,12 +10,18 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.ir.clone import clone_module
 from repro.ir.module import Module
 from repro.programs.registry import TargetProgram, all_programs, get_program
 from repro.toolchain import build_module
 from repro.vm.interpreter import VM
+
+# The nightly CI sweep runs the parser's token property with 20 times
+# tier-1's example count: ``pytest --hypothesis-profile=nightly``.  A test
+# that should widen with it leaves ``max_examples`` unset.
+settings.register_profile("nightly", max_examples=20 * settings.default.max_examples)
 
 _MODULE_CACHE: Dict[str, Module] = {}
 _BUILD_CACHE: Dict[Tuple[str, int], object] = {}
